@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,25 +32,6 @@ from .structure import Tolerances, check_structure
 
 class InputError(ValueError):
     """Malformed file or argument; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: Path | None = None
-    spline: Path | None = None
-    k: int = 0
-    p: PNorm = PNorm.two()
-    grid: int = 16
-    emit_svg: Path | None = None
-    threads: int = 1
-    format: str = "json"
-    out: Path | None = None
-    data_out: Path | None = None
-    fixture_name: str = "spike"
-    i: int = 10
-    tau_slope: float | None = None
-    tau_interp: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +212,9 @@ def render_svg(data: DataSet, s: BrokenLine, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
-    result = best_fit(data, cfg.k, cfg.p, threads=cfg.threads)
+    result = best_fit(data, cfg.k, cfg.p)
     if cfg.format == "csv":
         lines = [
             f"# error={_fmt(result.error)}",
@@ -252,7 +232,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
     s = load_spline(cfg.spline)
     if s.a != data.a or s.b != data.b:
@@ -268,7 +248,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.all_pass else 3
 
 
-def cmd_regularize(cfg: RunConfig) -> int:
+def cmd_regularize(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
     s = load_spline(cfg.spline)
     if s.a != data.a or s.b != data.b:
@@ -282,7 +262,7 @@ def cmd_regularize(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
     err = grid_oracle(data, cfg.k, cfg.p, cfg.grid)
     if cfg.format == "csv":
@@ -293,9 +273,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_fixture(cfg: RunConfig) -> int:
-    if cfg.fixture_name != "spike":
-        raise InputError(f"unknown fixture {cfg.fixture_name!r}; available: spike")
+def cmd_fixture(cfg: argparse.Namespace) -> int:
+    if cfg.name != "spike":
+        raise InputError(f"unknown fixture {cfg.name!r}; available: spike")
     s = spike_fixture(cfg.i)
     _emit(_dumps(spline_obj(s)) + "\n", cfg.out)
     if cfg.data_out is not None:
@@ -328,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(fit)
     fit.add_argument("--k", type=int, required=True, help="maximum number of free knots")
     fit.add_argument("--emit-svg", type=Path, default=None)
-    fit.add_argument("--threads", type=int, default=1)
 
     verify = sub.add_parser("verify", help="check the structural optimality properties")
     common(verify)
@@ -353,25 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in (
-        "input", "spline", "k", "grid", "emit_svg", "threads", "format",
-        "out", "data_out", "i", "tau_slope", "tau_interp",
-    ):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "p"):
-        cfg.p = parse_pnorm(ns.p)
-    if hasattr(ns, "name"):
-        cfg.fixture_name = ns.name
-    if cfg.k < 0:
-        raise InputError("k must be >= 0")
-    if cfg.threads < 1:
-        raise InputError("threads must be >= 1")
-    return cfg
-
-
 _COMMANDS = {
     "fit": cmd_fit,
     "verify": cmd_verify,
@@ -384,8 +344,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = _to_config(ns)
+        cfg = parser.parse_args(argv)
+        if "p" in cfg:
+            cfg.p = parse_pnorm(cfg.p)
+        if getattr(cfg, "k", 0) < 0:
+            raise InputError("k must be >= 0")
         return _COMMANDS[cfg.command](cfg)
     except SystemExit as exc:  # argparse errors -> malformed input
         return 2 if exc.code not in (0, None) else 0

@@ -1,10 +1,11 @@
 """Best approximation with a fixed knot vector: the convex inner solver.
 
 Every knot configuration examined by the global search reduces to fits of this
-kind: a single line (no knots), or a continuous polyline with prescribed
-breakpoints whose values are the unknowns ("hat" coordinates). p = 2 is linear
-least squares, p = 1 and p = inf are linear programs solved by the built-in
-simplex, and general p uses damped Newton on the smooth convex objective.
+kind: a continuous polyline with prescribed breakpoints whose values are the
+unknowns ("hat" coordinates); a chain without knots is the two-breakpoint
+case. p = 2 is linear least squares, p = 1 and p = inf are linear programs
+solved by the built-in simplex, and general p uses damped Newton on the smooth
+convex objective.
 """
 
 from __future__ import annotations
@@ -203,23 +204,19 @@ def fit_values(
 def fit_chain(data: DataSet, chain: ChainProblem, p: PNorm) -> tuple[BrokenLine, float]:
     """Best polyline over one chain: fixed data knots, free breakpoint values.
 
-    A chain with no internal knots delegates to :func:`fit_line`. The returned
-    polyline spans the chain block [x_lo, x_hi] only.
+    Every chain, with or without internal knots, is fitted in the hat basis
+    on its breakpoints; ``ChainProblem`` already guarantees each piece covers
+    two data abscissae. The returned polyline spans the chain block
+    [x_lo, x_hi] only.
     """
     if not (0 <= chain.lo and chain.hi <= len(data.x) - 1):
         raise ValueError("chain block outside the data set")
     xs = data.x[chain.lo : chain.hi + 1]
     fs = data.f[chain.lo : chain.hi + 1]
-    bp_idx = chain.breakpoint_indices()
-    if any(b - a < 1 for a, b in zip(bp_idx, bp_idx[1:])):
-        raise ConfigurationError("each chain piece must cover two data abscissae")
-    bps = data.x[list(bp_idx)]
-    if not chain.knot_indices:
-        line, err = fit_line(xs, fs, p)
-        return BrokenLine(bps, np.array([line(bps[0]), line(bps[1])])), err
-    _check_piece_coverage(xs, bps, minimum=2)
-    values, err = fit_values(xs, fs, bps, p)
-    return BrokenLine(bps, values), err
+    bps = data.x[list(chain.breakpoint_indices())]
+    A = hat_design(xs, bps)
+    values = _fit_coefficients(A, fs, p)
+    return BrokenLine(bps, values), residual_norm(fs - A @ values, p)
 
 
 def fit_fixed_knots(

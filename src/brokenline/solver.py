@@ -6,7 +6,9 @@ gaps, every piece covering two data abscissae), solves each configuration by
 decoupled chain fits, and checks the free gap knots by intersecting the two
 adjacent chain-boundary lines. Configurations whose intersection leaves the
 open gap are dominated by data-knot configurations, which the enumeration
-covers, so discarding them never loses the optimum.
+covers, so discarding them never loses the optimum. Configurations are
+assembled in increasing order of their combined chain errors, only until none
+left can beat or tie the incumbent (see ``best_fit``).
 
 A brute-force grid oracle provides an independent upper bound on the minimum
 for cross-checking; its inner fits run on separate batched machinery (normal
@@ -16,8 +18,7 @@ little code as possible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -99,7 +100,6 @@ class FitResult:
     error: float
     config: KnotConfig
     proper_knot_count: int
-    diagnostics: tuple[str, ...] = ()
 
 
 def enumerate_configs(mu: int, k: int) -> list[KnotConfig]:
@@ -205,16 +205,21 @@ def _interpolant_result(data: DataSet) -> FitResult:
     spline = BrokenLine(data.x, data.f)
     config = KnotConfig(tuple(Junction("data", q) for q in range(1, data.mu + 1)))
     proper = sum(1 for lab in classify_knots(spline, data) if lab.proper)
-    return FitResult(spline, 0.0, config, proper, ("interpolation: mu < k+1",))
+    return FitResult(spline, 0.0, config, proper)
 
 
-def best_fit(data: DataSet, k: int, p: PNorm, *, threads: int = 1) -> FitResult:
+def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
     """Global minimum of the discrete p-norm error over polylines with <= k knots.
 
     When mu < k+1 the data is reproduced exactly by the interpolating
-    polyline. Otherwise every pruned configuration is solved and the minimum
-    is taken, ties broken by fewer junctions then lexicographically smaller
-    configuration; the merge is deterministic regardless of thread count.
+    polyline. Otherwise the chains of a configuration partition the data, so
+    a feasible configuration's error is the p-norm of its cached chain
+    errors. Configurations are solved in increasing order of that value, and
+    the walk stops once it exceeds the incumbent by more than a rounding
+    margin: no later configuration can beat or tie it. The winner is the
+    minimum of the exact (error, sort_key) over the solved configurations,
+    ties broken by fewer junctions then lexicographically smaller
+    configuration, exactly as if every configuration were solved.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -230,28 +235,29 @@ def best_fit(data: DataSet, k: int, p: PNorm, *, threads: int = 1) -> FitResult:
             cache[chain] = hit
         return hit
 
-    configs = enumerate_configs(data.mu, k)
-    solve = lambda cfg: solve_config(data, cfg, p, _fit=cached_fit)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(solve, configs))
-    else:
-        outcomes = [solve(cfg) for cfg in configs]
-
-    diagnostics = []
+    ranked = sorted(
+        (
+            residual_norm(np.array([cached_fit(c)[1] for c in cfg.chains(data.mu)]), p),
+            cfg.sort_key(),
+            cfg,
+        )
+        for cfg in enumerate_configs(data.mu, k)
+    )
+    # The ranking value and the assembled polyline's error_norm agree up to
+    # rounding; the margin keeps every configuration that could tie.
+    slack = 1e-9 * float(np.max(np.abs(data.f)))
     best: FitResult | None = None
-    for out in outcomes:
-        if isinstance(out, Infeasible):
-            diagnostics.append(f"{out.config}: infeasible-{out.reason}")
-            continue
-        diagnostics.append(f"{out.config}: ok error={out.error:.17g}")
-        if best is None or (out.error, out.config.sort_key()) < (
-            best.error,
-            best.config.sort_key(),
+    for rank, _, cfg in ranked:
+        if best is not None and rank > best.error * (1.0 + 1e-9) + slack:
+            break
+        out = solve_config(data, cfg, p, _fit=cached_fit)
+        if isinstance(out, FitResult) and (
+            best is None
+            or (out.error, out.config.sort_key()) < (best.error, best.config.sort_key())
         ):
             best = out
     assert best is not None  # the empty configuration always succeeds
-    return replace(best, diagnostics=tuple(diagnostics))
+    return best
 
 
 # --------------------------------------------------------------------------

@@ -48,13 +48,6 @@ class TestFit:
         _, second, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
         assert first == second
 
-    def test_threads_do_not_change_output(self, tent_csv, capsys):
-        _, single, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
-        _, multi, _ = run(
-            capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2", "--threads", 4
-        )
-        assert single == multi
-
     def test_csv_format(self, tent_csv, capsys):
         code, out, _ = run(
             capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2", "--format", "csv"
