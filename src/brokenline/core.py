@@ -226,8 +226,8 @@ def evaluate_many(s: BrokenLine, xs: Sequence[float]) -> np.ndarray:
 
 
 def default_slope_tolerance(s: BrokenLine) -> float:
-    """Relative properness threshold: 1e-9 * (1 + max piece slope magnitude)."""
-    return 1e-9 * (1.0 + float(np.max(np.abs(s.slopes()))))
+    """Relative properness threshold: 1e-9 * max piece slope magnitude."""
+    return 1e-9 * float(np.max(np.abs(s.slopes())))
 
 
 def classify_knots(

@@ -172,7 +172,12 @@ def _fit_coefficients(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
 
 
 def fit_line(xs, fs, p: PNorm) -> tuple[Line, float]:
-    """Line minimizing the p-norm of residuals over the given points."""
+    """Line minimizing the p-norm of residuals over the given points.
+
+    p = 2 uses the centered closed form. Other norms fit the end values of the
+    line in the hat basis on [min xs, max xs] (``fit_values``), which stays
+    well conditioned at any offset of x.
+    """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if len(xs) != len(fs) or len(xs) < 1:
@@ -184,11 +189,15 @@ def fit_line(xs, fs, p: PNorm) -> tuple[Line, float]:
         sxx = float(np.dot(xs - xm, xs - xm))
         slope = float(np.dot(xs - xm, fs - fm)) / sxx if sxx > 0 else 0.0
         line = Line(slope, float(fm - slope * xm))
-    else:
-        A = np.column_stack([xs, np.ones_like(xs)])
-        beta = _fit_coefficients(A, fs, p)
-        line = Line(float(beta[0]), float(beta[1]))
-    return line, residual_norm(fs - (line.slope * xs + line.intercept), p)
+        return line, residual_norm(fs - (line.slope * xs + line.intercept), p)
+    lo, hi = float(xs.min()), float(xs.max())
+    if lo == hi:
+        A = np.ones((len(xs), 1))
+        values = _fit_coefficients(A, fs, p)
+        return Line(0.0, float(values[0])), residual_norm(fs - A @ values, p)
+    values, err = fit_values(xs, fs, np.array([lo, hi]), p)
+    slope = float(values[1] - values[0]) / (hi - lo)
+    return Line(slope, float(values[0]) - slope * lo), err
 
 
 def fit_values(

@@ -7,8 +7,9 @@ decoupled chain fits, and checks the free gap knots by intersecting the two
 adjacent chain-boundary lines. Configurations whose intersection leaves the
 open gap are dominated by data-knot configurations, which the enumeration
 covers, so discarding them never loses the optimum. Configurations are
-assembled in increasing order of their combined chain errors, only until none
-left can beat or tie the incumbent (see ``best_fit``).
+visited in increasing order of a line-fit lower bound, and only those that
+can still beat or tie the incumbent are fitted and assembled (see
+``best_fit``).
 
 A brute-force grid oracle provides an independent upper bound on the minimum
 for cross-checking; its inner fits run on separate batched machinery (normal
@@ -18,6 +19,7 @@ little code as possible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -181,8 +183,8 @@ def solve_config(
             mid = 0.5 * (lo + hi)
             vl = y0l + (mid - x0l) * ml
             vr = y0r + (mid - x0r) * mr
-            if abs(ml - mr) <= 1e-12 * (1.0 + abs(ml) + abs(mr)):
-                if abs(vl - vr) <= 1e-12 * (1.0 + abs(vl) + abs(vr)):
+            if abs(ml - mr) <= 1e-12 * (abs(ml) + abs(mr)):
+                if abs(vl - vr) <= 1e-12 * (abs(vl) + abs(vr)):
                     return Infeasible(config, "improper")
                 return Infeasible(config, "parallel")
             xi = (vr - vl) / (ml - mr) + mid
@@ -208,17 +210,38 @@ def _interpolant_result(data: DataSet) -> FitResult:
     return FitResult(spline, 0.0, config, proper)
 
 
+def _lower_bound(data: DataSet, config: KnotConfig, p: PNorm, line_error) -> float:
+    """Lower bound on the p-norm of the chain errors of ``config``.
+
+    A chain polyline restricted to the points of one piece is a line, so the
+    piece is at least as bad as the best line on those points (Bellman & Roth,
+    JASA 1969). For p < inf a point shared at a data knot is counted in one
+    block only, so the blocks are disjoint: [lo, k1], [k1+1, k2], ...,
+    [km+1, hi]. For p = inf the blocks are the whole pieces. Each line error
+    is ``line_error(a, b)``, the error of the no-knot chain fit of block
+    [a, b]; a block of one or two points counts 0, since a line passes
+    through it.
+    """
+    starts, ends = [0], []
+    for j in config.junctions:
+        ends.append(j.q)
+        starts.append(j.q if p.is_infinity and j.kind == "data" else j.q + 1)
+    ends.append(data.mu + 1)
+    errs = [line_error(a, b) if b > a + 1 else 0.0 for a, b in zip(starts, ends)]
+    return residual_norm(np.array(errs), p)
+
+
 def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
     """Global minimum of the discrete p-norm error over polylines with <= k knots.
 
     When mu < k+1 the data is reproduced exactly by the interpolating
     polyline. Otherwise the chains of a configuration partition the data, so
-    a feasible configuration's error is the p-norm of its cached chain
-    errors. Configurations are solved in increasing order of that value, and
-    the walk stops once it exceeds the incumbent by more than a rounding
-    margin: no later configuration can beat or tie it. The winner is the
-    minimum of the exact (error, sort_key) over the solved configurations,
-    ties broken by fewer junctions then lexicographically smaller
+    a feasible configuration's error is the p-norm of its chain errors (its
+    rank), which ``_lower_bound`` never exceeds. Configurations are visited in
+    increasing order of that bound; one is assembled only when its rank is
+    within a rounding margin of the incumbent, and the walk stops once the
+    bound exceeds that margin. The winner is the exact (error, sort_key)
+    minimum, ties broken by fewer junctions then lexicographically smaller
     configuration, exactly as if every configuration were solved.
     """
     if k < 0:
@@ -226,30 +249,26 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
     if data.mu < k + 1:
         return _interpolant_result(data)
 
-    cache: dict[ChainProblem, tuple[BrokenLine, float]] = {}
+    cached_fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+    line_error = functools.cache(lambda a, b: cached_fit(ChainProblem(a, b))[1])
 
-    def cached_fit(chain: ChainProblem) -> tuple[BrokenLine, float]:
-        hit = cache.get(chain)
-        if hit is None:
-            hit = fit_chain(data, chain, p)
-            cache[chain] = hit
-        return hit
-
-    ranked = sorted(
-        (
-            residual_norm(np.array([cached_fit(c)[1] for c in cfg.chains(data.mu)]), p),
-            cfg.sort_key(),
-            cfg,
-        )
-        for cfg in enumerate_configs(data.mu, k)
+    # enumerate_configs yields sort_key order and the sort is stable, so ties
+    # in the bound keep that order.
+    ordered = sorted(
+        ((_lower_bound(data, cfg, p, line_error), cfg) for cfg in enumerate_configs(data.mu, k)),
+        key=lambda entry: entry[0],
     )
-    # The ranking value and the assembled polyline's error_norm agree up to
-    # rounding; the margin keeps every configuration that could tie.
+    # The rank and the assembled polyline's error_norm agree up to rounding;
+    # the margin keeps every configuration that could tie.
     slack = 1e-9 * float(np.max(np.abs(data.f)))
     best: FitResult | None = None
-    for rank, _, cfg in ranked:
-        if best is not None and rank > best.error * (1.0 + 1e-9) + slack:
+    for bound, cfg in ordered:
+        limit = np.inf if best is None else best.error * (1.0 + 1e-9) + slack
+        if bound > limit:
             break
+        rank = residual_norm(np.array([cached_fit(c)[1] for c in cfg.chains(data.mu)]), p)
+        if rank > limit:
+            continue
         out = solve_config(data, cfg, p, _fit=cached_fit)
         if isinstance(out, FitResult) and (
             best is None

@@ -119,6 +119,13 @@ class TestFitLine:
         )
         assert err <= grid_best + 1e-6
 
+    @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity(), PNorm.general(3.0)])
+    def test_epoch_scale_abscissae(self, p):
+        data = random_dataset(make_rng(7), 10)
+        _, base = fit_line(data.x, data.f, p)
+        _, err = fit_line(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0, p)
+        assert abs(err - 2.5 * base) <= 1e-6 * 2.5 * base
+
 
 class TestFitChain:
     def test_collinear_interpolation(self):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from brokenline import (
     BrokenLine,
+    ChainProblem,
     DataSet,
     FitResult,
     Infeasible,
@@ -12,11 +14,15 @@ from brokenline import (
     KnotConfig,
     PNorm,
     best_fit,
+    check_structure,
     enumerate_configs,
     error_norm,
+    fit_chain,
     grid_oracle,
     solve_config,
 )
+from brokenline.norms import residual_norm
+from brokenline.solver import _lower_bound
 
 from conftest import make_rng, planted_instance, random_dataset, smooth_dataset
 
@@ -199,13 +205,22 @@ class TestBestFit:
         # Exhaustive reference: solve every configuration and take the
         # (error, sort_key) minimum; the search must return it bit-for-bit.
         # Planted data makes many configurations tie at zero error.
+        # The random mu=7, k=3 case lets the bound prune most configurations;
+        # its f x 1e-13 copy checks that the pruning is scale-free.
         rng = make_rng(53)
         cases = [(random_dataset(rng, 7), 2), (smooth_dataset(rng, 6), 2)]
         cases += [(planted_instance(rng, mu, k)[0], k) for mu, k in ((5, 2), (4, 3))]
+        wide = random_dataset(make_rng(58), 7)
+        cases += [(wide, 3), (DataSet(wide.x, 1e-13 * wide.f), 3)]
         for p in NORMS + [PNorm.general(1.5), PNorm.general(3.0)]:
             for data, k in cases:
                 result = best_fit(data, k, p)
-                outcomes = [solve_config(data, c, p) for c in enumerate_configs(data.mu, k)]
+                # fit_chain is a pure function of its chain; sharing fits only
+                # saves time.
+                fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+                outcomes = [
+                    solve_config(data, c, p, _fit=fit) for c in enumerate_configs(data.mu, k)
+                ]
                 ref = min(
                     (out for out in outcomes if isinstance(out, FitResult)),
                     key=lambda out: (out.error, out.config.sort_key()),
@@ -223,6 +238,40 @@ class TestBestFit:
         base = best_fit(data, 2, p)
         result = best_fit(moved, 2, p)
         assert abs(result.error - 2.5 * base.error) <= 1e-6 * 2.5 * base.error
+
+    def test_lower_bound_below_rank(self):
+        # The bound behind best_fit's pruning never exceeds a configuration's
+        # chain-error rank by more than the stop margin.
+        rng = make_rng(59)
+        cases = [(random_dataset(rng, 7), 3), (smooth_dataset(rng, 6), 2)]
+        cases += [(planted_instance(rng, 5, 2)[0], 2)]
+        for p in NORMS + [PNorm.general(1.5), PNorm.general(3.0)]:
+            for data, k in cases:
+                fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+                slack = 1e-9 * float(np.max(np.abs(data.f)))
+                for cfg in enumerate_configs(data.mu, k):
+                    rank = residual_norm(np.array([fit(c)[1] for c in cfg.chains(data.mu)]), p)
+                    bound = _lower_bound(data, cfg, p, lambda a, b: fit(ChainProblem(a, b))[1])
+                    assert bound <= rank * (1.0 + 1e-9) + slack
+
+    def test_small_values_keep_the_optimum(self):
+        data = random_dataset(make_rng(7), 10)
+        base = best_fit(data, 2, PNorm.one())
+        result = best_fit(DataSet(data.x, 1e-13 * data.f), 2, PNorm.one())
+        assert str(result.config) == "g3+g7"
+        assert abs(result.error - 1e-13 * base.error) <= 1e-9 * 1e-13 * base.error
+
+    @pytest.mark.parametrize("p", NORMS)
+    def test_proper_knots_at_any_scale(self, p):
+        data = random_dataset(make_rng(7), 10)
+        for moved in (
+            DataSet(data.x, 1e-13 * data.f),
+            DataSet(data.x, 1e-9 * data.f),
+            DataSet(1e9 * data.x, data.f),
+        ):
+            result = best_fit(moved, 2, p)
+            assert result.proper_knot_count == 2
+            assert check_structure(moved, result.spline, p).all_pass
 
     def test_rejects_negative_k(self):
         data = DataSet([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0])
