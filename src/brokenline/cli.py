@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     BrokenLine,
     DataSet,
-    DomainError,
     PNorm,
     PositionKind,
     classify_knots,
@@ -352,10 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except SystemExit as exc:  # argparse errors -> malformed input
         return 2 if exc.code not in (0, None) else 0
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes InputError and DomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

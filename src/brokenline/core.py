@@ -197,23 +197,15 @@ class RegularizationBounds:
 
 def evaluate(s: BrokenLine, x: float) -> float:
     """Evaluate the polyline at x in [a, b]; at a breakpoint returns its stored value."""
-    if not (s.t[0] <= x <= s.t[-1]):
-        raise DomainError(f"x={x} outside [{s.t[0]}, {s.t[-1]}]")
-    i = int(np.searchsorted(s.t, x, side="right")) - 1
-    if i >= 0 and s.t[i] == x:
-        return float(s.v[i])
-    if i == len(s.t) - 1:
-        return float(s.v[-1])
-    t0, t1 = s.t[i], s.t[i + 1]
-    return float(s.v[i] + (x - t0) * (s.v[i + 1] - s.v[i]) / (t1 - t0))
+    return float(evaluate_many(s, [x])[0])
 
 
 def evaluate_many(s: BrokenLine, xs: Sequence[float]) -> np.ndarray:
-    """Vectorized :func:`evaluate`; same arithmetic, bit-identical results."""
+    """Vectorized :func:`evaluate`."""
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
         return np.empty(0)
-    if xs.min() < s.t[0] or xs.max() > s.t[-1]:
+    if not (s.t[0] <= xs.min() and xs.max() <= s.t[-1]):  # NaN fails too
         raise DomainError(f"abscissae outside [{s.t[0]}, {s.t[-1]}]")
     i = np.clip(np.searchsorted(s.t, xs, side="right") - 1, 0, len(s.t) - 2)
     t0, t1 = s.t[i], s.t[i + 1]

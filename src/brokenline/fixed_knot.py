@@ -68,17 +68,14 @@ def hat_design(xs: np.ndarray, bps: np.ndarray) -> np.ndarray:
 
     Each abscissa contributes one row holding the two hat weights of the piece
     covering it; an abscissa lying bit-equal on a breakpoint gets weight one
-    there.
+    there, because its w is exactly 0.
     """
     n, d = len(xs), len(bps)
     A = np.zeros((n, d))
     piece = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, d - 2)
-    exact = np.flatnonzero(xs == bps[np.clip(piece, 0, d - 1)])
     w = (xs - bps[piece]) / (bps[piece + 1] - bps[piece])
     A[np.arange(n), piece] = 1.0 - w
     A[np.arange(n), piece + 1] = w
-    A[exact, :] = 0.0
-    A[exact, piece[exact]] = 1.0
     return A
 
 
@@ -92,15 +89,11 @@ def _check_piece_coverage(xs: np.ndarray, bps: np.ndarray, minimum: int) -> None
             )
 
 
-def _newton_fit(
-    A: np.ndarray,
-    fs: np.ndarray,
-    beta0: np.ndarray,
-    p: float,
-    *,
-    gtol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+_NEWTON_GTOL = 1e-10
+_NEWTON_MAX_ITER = 200
+
+
+def _newton_fit(A: np.ndarray, fs: np.ndarray, beta0: np.ndarray, p: float) -> np.ndarray:
     """Damped Newton for min sum |f - A beta|^p, 1 < p < inf, p != 2.
 
     For p < 2 the second derivative blows up at zero residual, so the
@@ -115,11 +108,11 @@ def _newton_fit(
         return float(np.sum((r * r + mu * mu) ** (p / 2.0)))
 
     for mu in mus:
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             r = fs - A @ beta
             s2 = r * r + mu * mu
             grad = -A.T @ (p * r * s2 ** (p / 2.0 - 1.0))
-            if float(np.linalg.norm(grad)) <= gtol:
+            if float(np.linalg.norm(grad)) <= _NEWTON_GTOL:
                 break
             if mu == 0.0:
                 weights = p * (p - 1.0) * np.abs(r) ** (p - 2.0)
@@ -148,7 +141,10 @@ def _lp_fit(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
     """Solve the l_1 or l_inf fitting LP over free coefficients ``beta``.
 
     Free variables are split into positive and negative parts; the residual
-    bound variables eps satisfy -eps <= f - A beta <= eps.
+    bound variables eps satisfy -eps <= f - A beta <= eps. The simplex starts
+    at beta = 0 with each eps entering at the tight row of its pair
+    (Barrodale & Roberts, 1973). These pivots are on -1 entries, so the start
+    right-hand sides (|f_i| and 2|f_i|, or b_r - min b) are never negative.
     """
     n, d = A.shape
     n_eps = 1 if p.is_infinity else n
@@ -157,7 +153,11 @@ def _lp_fit(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
     E = np.ones((n, 1)) if p.is_infinity else np.eye(n)
     A_ub = np.block([[A, -A, -E], [-A, A, -E]])
     b_ub = np.concatenate([fs, -fs])
-    x, _ = solve_lp(c, A_ub, b_ub)
+    if p.is_infinity:
+        start = ((int(np.argmin(b_ub)), 2 * d),)
+    else:
+        start = tuple((i if fs[i] < 0 else n + i, 2 * d + i) for i in range(n))
+    x, _ = solve_lp(c, A_ub, b_ub, start)
     return x[:d] - x[d : 2 * d]
 
 
@@ -167,8 +167,13 @@ def _fit_coefficients(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
         return beta
     if p.p == 1.0 or p.is_infinity:
         return _lp_fit(A, fs, p)
+    # Newton's stopping rule and smoothing are absolute, so fit f scaled to
+    # about unit size; a power of two keeps the rescaling exact.
+    top = float(np.max(np.abs(fs)))
+    scale = 2.0 ** round(math.log2(top)) if top > 0 else 1.0
+    fs = fs / scale
     start, *_ = np.linalg.lstsq(A, fs, rcond=None)
-    return _newton_fit(A, fs, start, p.p)
+    return scale * _newton_fit(A, fs, start, p.p)
 
 
 def fit_line(xs, fs, p: PNorm) -> tuple[Line, float]:

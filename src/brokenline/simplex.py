@@ -1,18 +1,22 @@
-"""Dense two-phase tableau simplex with Bland's rule for the tiny fitting LPs.
+"""Dense tableau simplex with Bland's rule for the tiny fitting LPs.
 
 The fitting problems here have a few dozen rows at most, so a dense tableau is
-plenty. Bland's anti-cycling rule makes the returned vertex deterministic,
-which pins down a canonical minimizer whenever the l_1 / l_inf fit is not
-unique.
+plenty. There is no auxiliary phase: the caller starts the LP at a feasible
+vertex it knows, given as pivots on the slack tableau. Bland's anti-cycling
+rule makes the returned vertex deterministic, which pins down a canonical
+minimizer whenever the l_1 / l_inf fit is not unique.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_TOL = 1e-9  # pivot entries and reduced costs; the fitting LPs' c and A are unit-free
+_MAX_ITER = 20000
+
 
 class SimplexError(RuntimeError):
-    """Infeasible or unbounded LP, or iteration limit hit."""
+    """Infeasible start, unbounded LP, or iteration limit hit."""
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, row: int, col: int) -> None:
@@ -23,21 +27,14 @@ def _pivot(T: np.ndarray, obj: np.ndarray, row: int, col: int) -> None:
     obj -= obj[col] * T[row]
 
 
-def _iterate(
-    T: np.ndarray,
-    obj: np.ndarray,
-    basis: np.ndarray,
-    n_allowed: int,
-    tol: float,
-    max_iter: int,
-) -> None:
-    for _ in range(max_iter):
-        entering = np.flatnonzero(obj[:n_allowed] < -tol)
+def _iterate(T: np.ndarray, obj: np.ndarray, basis: np.ndarray) -> None:
+    for _ in range(_MAX_ITER):
+        entering = np.flatnonzero(obj[:-1] < -_TOL)
         if len(entering) == 0:
             return
         j = int(entering[0])  # Bland: smallest eligible index
         col = T[:, j]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > _TOL)
         if len(rows) == 0:
             raise SimplexError("LP is unbounded")
         ratios = T[rows, -1] / col[rows]
@@ -53,57 +50,32 @@ def solve_lp(
     c: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
+    start: tuple[tuple[int, int], ...] = (),
 ) -> tuple[np.ndarray, float]:
     """Minimize ``c @ x`` subject to ``A @ x <= b`` and ``x >= 0``.
 
-    Feasibility is established by the standard auxiliary phase (artificial
-    variables on rows with negative right-hand side). Returns the optimal
-    vertex and objective value.
+    The slack basis is feasible when ``b >= 0``. Otherwise ``start`` lists the
+    ``(row, column)`` pivots that take it to a feasible vertex; a negative
+    right-hand side left after them raises :class:`SimplexError`. Returns the
+    optimal vertex and objective value.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     m, n = A.shape
 
-    sign = np.where(b < 0, -1.0, 1.0)
-    art_rows = np.flatnonzero(sign < 0)
-    n_art = len(art_rows)
-    n_cols = n + m + n_art
-
-    T = np.zeros((m, n_cols + 1))
-    T[:, :n] = sign[:, None] * A
-    T[np.arange(m), n + np.arange(m)] = sign
-    for k, i in enumerate(art_rows):
-        T[i, n + m + k] = 1.0
-    T[:, -1] = sign * b
-
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-
-    if n_art:
-        obj = np.zeros(n_cols + 1)
-        obj[n + m : n + m + n_art] = 1.0
-        for i in art_rows:
-            obj -= T[i]
-        _iterate(T, obj, basis, n + m, tol, max_iter)
-        if -obj[-1] > 1e-7 * (1.0 + abs(b).max()):
-            raise SimplexError("LP is infeasible")
-        # Drive leftover artificials out of the basis where possible.
-        for i in np.flatnonzero(basis >= n + m):
-            cols = np.flatnonzero(np.abs(T[i, : n + m]) > tol)
-            if len(cols):
-                _pivot(T, obj, int(i), int(cols[0]))
-                basis[i] = int(cols[0])
-
-    obj = np.zeros(n_cols + 1)
+    T = np.zeros((m, n + m + 1))
+    T[:, :n] = A
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:, -1] = b
+    obj = np.zeros(n + m + 1)
     obj[:n] = c
-    for i in range(m):
-        if basis[i] < n and obj[basis[i]] != 0.0:
-            obj -= obj[basis[i]] * T[i]
-    _iterate(T, obj, basis, n + m, tol, max_iter)
+    basis = n + np.arange(m)
+    for row, col in start:
+        _pivot(T, obj, row, col)
+        basis[row] = col
+    if (T[:, -1] < 0.0).any():
+        raise SimplexError("start is not a feasible vertex")
+    _iterate(T, obj, basis)
 
     x = np.zeros(n)
     in_x = basis < n

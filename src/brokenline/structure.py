@@ -109,7 +109,7 @@ def check_structure(
     labels = classify_knots(s, data, tol.tau_slope)
     tau_interp = tol.tau_interp
     if tau_interp is None:
-        tau_interp = 1e-8 * (1.0 + float(np.max(np.abs(data.f))))
+        tau_interp = 1e-8 * float(np.max(np.abs(data.f)))
 
     x = data.x
     mu = data.mu

@@ -34,9 +34,11 @@ class TestSimplex:
         assert abs(val - (-2.8)) <= 1e-9
         assert np.allclose(x, [1.6, 1.2], atol=1e-9)
 
-    def test_negative_rhs_uses_auxiliary_phase(self):
-        # min x st -x <= -3  ->  x = 3
-        x, val = solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]))
+    def test_negative_rhs_uses_start_pivots(self):
+        # min x st -x <= -3, started with x basic in row 0  ->  x = 3
+        x, val = solve_lp(
+            np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]), start=((0, 0),)
+        )
         assert abs(val - 3.0) <= 1e-9
 
     def test_unbounded_detected(self):
@@ -48,6 +50,41 @@ class TestSimplex:
             solve_lp(
                 np.array([0.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
             )
+
+    def test_infeasible_start_rejected(self):
+        # -x <= -3 and x <= 1: the start x = 3 leaves row 1 at 1 - 3 < 0
+        with pytest.raises(SimplexError):
+            solve_lp(
+                np.array([1.0]),
+                np.array([[-1.0], [1.0]]),
+                np.array([-3.0, 1.0]),
+                start=((0, 0),),
+            )
+
+    @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
+    def test_chain_fits_match_highs(self, p):
+        # The same fitting LP solved by an independent solver (HiGHS).
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = make_rng(60)
+        for _ in range(100):
+            data = random_dataset(rng, int(rng.integers(2, 9)))
+            n = len(data.x)
+            k = int(rng.integers(0, min(3, n - 2) + 1))
+            knots = tuple(sorted(rng.choice(np.arange(1, n - 1), k, replace=False)))
+            chain = ChainProblem(0, n - 1, tuple(int(i) for i in knots))
+            _, err = fit_chain(data, chain, p)
+            A = hat_design(data.x, data.x[list(chain.breakpoint_indices())])
+            d = A.shape[1]
+            E = np.ones((n, 1)) if p.is_infinity else np.eye(n)
+            res = linprog(
+                np.concatenate([np.zeros(d), np.ones(E.shape[1])]),
+                A_ub=np.block([[A, -E], [-A, -E]]),
+                b_ub=np.concatenate([data.f, -data.f]),
+                bounds=[(None, None)] * d + [(0, None)] * E.shape[1],
+                method="highs",
+            )
+            assert res.status == 0
+            assert abs(err - res.fun) <= 1e-9 * (1.0 + abs(res.fun))
 
 
 class TestFitLine:

@@ -261,6 +261,15 @@ class TestBestFit:
         assert str(result.config) == "g3+g7"
         assert abs(result.error - 1e-13 * base.error) <= 1e-9 * 1e-13 * base.error
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_general_p_error_scales_with_f(self, p):
+        data = random_dataset(make_rng(7), 10)
+        norm = PNorm.general(p)
+        base = best_fit(data, 2, norm)
+        for scale in (1e-9, 1e-13):
+            result = best_fit(DataSet(data.x, scale * data.f), 2, norm)
+            assert abs(result.error - scale * base.error) <= 1e-9 * scale * base.error
+
     @pytest.mark.parametrize("p", NORMS)
     def test_proper_knots_at_any_scale(self, p):
         data = random_dataset(make_rng(7), 10)

@@ -64,6 +64,15 @@ class TestIndividualProperties:
         report = check_structure(data, bad, PNorm.two())
         assert report.g.status is CheckStatus.FAIL
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_g_miss_fails_at_any_scale(self, scale):
+        # x_2 = 2 is the one abscissa between the interior knot at 1.5 and the
+        # data knot at 3, and f_2 sits 1e-3 above the polyline there
+        data = DataSet(np.arange(7.0), scale * np.array([0.0, 1.0, 1.001, 0.0, 0.0, 0.0, 0.0]))
+        s = BrokenLine([0.0, 1.5, 3.0, 6.0], scale * np.array([0.0, 1.5, 0.0, 0.0]))
+        report = check_structure(data, s, PNorm.two())
+        assert report.g.status is CheckStatus.FAIL
+
 
 class TestVacuousAndInvariance:
     def test_no_knots_passes_everything(self):
