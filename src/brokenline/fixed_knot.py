@@ -93,15 +93,21 @@ _NEWTON_GTOL = 1e-10
 _NEWTON_MAX_ITER = 200
 
 
-def _newton_fit(A: np.ndarray, fs: np.ndarray, beta0: np.ndarray, p: float) -> np.ndarray:
+def _newton_fit(A: np.ndarray, fs: np.ndarray, p: float) -> np.ndarray:
     """Damped Newton for min sum |f - A beta|^p, 1 < p < inf, p != 2.
 
-    For p < 2 the second derivative blows up at zero residual, so the
-    objective is smoothed to sum (r^2 + mu^2)^(p/2) with mu driven down to
-    1e-12 by continuation.
+    The stopping rule and smoothing are absolute, so f is first divided by
+    the power of two nearest max|f|, which keeps the rescaling exact, and the
+    least-squares fit is the start. For p < 2 the second derivative blows up
+    at zero residual, so the objective is smoothed to sum (r^2 + mu^2)^(p/2)
+    with mu driven down to 1e-12 by continuation. A step is taken only if it
+    strictly decreases the objective.
     """
+    top = float(np.max(np.abs(fs)))
+    scale = 2.0 ** round(math.log2(top)) if top > 0 else 1.0
+    fs = fs / scale
+    beta, *_ = np.linalg.lstsq(A, fs, rcond=None)
     mus = [0.0] if p >= 2.0 else [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
-    beta = beta0.astype(float).copy()
 
     def objective(b: np.ndarray, mu: float) -> float:
         r = fs - A @ b
@@ -128,13 +134,13 @@ def _newton_fit(A: np.ndarray, fs: np.ndarray, beta0: np.ndarray, p: float) -> n
             alpha = 1.0
             while alpha > 1e-14:
                 cand = beta + alpha * step
-                if objective(cand, mu) <= base:
+                if objective(cand, mu) < base:
                     beta = cand
                     break
                 alpha /= 2.0
             else:
                 break
-    return beta
+    return scale * beta
 
 
 def _lp_fit(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
@@ -167,13 +173,7 @@ def _fit_coefficients(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
         return beta
     if p.p == 1.0 or p.is_infinity:
         return _lp_fit(A, fs, p)
-    # Newton's stopping rule and smoothing are absolute, so fit f scaled to
-    # about unit size; a power of two keeps the rescaling exact.
-    top = float(np.max(np.abs(fs)))
-    scale = 2.0 ** round(math.log2(top)) if top > 0 else 1.0
-    fs = fs / scale
-    start, *_ = np.linalg.lstsq(A, fs, rcond=None)
-    return scale * _newton_fit(A, fs, start, p.p)
+    return _newton_fit(A, fs, p.p)
 
 
 def fit_line(xs, fs, p: PNorm) -> tuple[Line, float]:

@@ -133,7 +133,7 @@ class _Chord:
 
 
 def _coincident(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-12 * (1.0 + abs(a) + abs(b))
+    return abs(a - b) <= 1e-12 * (abs(a) + abs(b))
 
 
 def _first_crossing_down(
@@ -152,7 +152,7 @@ def _first_crossing_down(
     prev_x, prev_d = start, 0.0
     for x in probes:
         d = pl.value(x) - line(x)
-        noise = 1e-12 * (1.0 + abs(pl.value(x)) + abs(line(x)))
+        noise = 1e-12 * (abs(pl.value(x)) + abs(line(x)))
         if d < -noise:
             if prev_d > 0.0:
                 xhat = prev_x + prev_d * (x - prev_x) / (prev_d - d)

@@ -61,10 +61,11 @@ class KnotConfig:
             raise ValueError("junction positions must be strictly increasing")
         start = 0
         for j in self.junctions:
-            if j.kind == "data" and not (1 <= j.q <= mu):
-                raise ValueError(f"data junction q={j.q} outside 1..{mu}")
-            if j.kind == "gap" and not (1 <= j.q <= mu - 1):
-                raise ValueError(f"gap junction q={j.q} outside 1..{mu - 1}")
+            top = {"data": mu, "gap": mu - 1}.get(j.kind)
+            if top is None:
+                raise ValueError(f"unknown junction kind {j.kind!r}")
+            if not (1 <= j.q <= top):
+                raise ValueError(f"{j.kind} junction q={j.q} outside 1..{top}")
             if j.q - start + 1 < 2:
                 raise ValueError(f"piece before junction {j} covers <2 abscissae")
             start = j.q if j.kind == "data" else j.q + 1
@@ -114,37 +115,25 @@ def enumerate_configs(mu: int, k: int) -> list[KnotConfig]:
     """
     if mu < 1 or k < 0:
         raise ValueError("need mu >= 1 and k >= 0")
-    candidates = sorted(
-        [Junction("data", q) for q in range(1, mu + 1)]
-        + [Junction("gap", q) for q in range(1, mu)],
-        key=lambda j: j.code,
-    )
+    slots = [Junction("gap" if code % 2 else "data", code // 2) for code in range(2 * mu + 1)]
     results: list[KnotConfig] = []
 
-    def rec(seq: list[Junction], start: int, last_code: int, r: int) -> None:
+    def rec(seq: list[Junction], start: int, r: int) -> None:
         if len(seq) == r:
-            if (mu + 1) - start + 1 >= 2:
-                results.append(KnotConfig(tuple(seq)))
+            results.append(KnotConfig(tuple(seq)))
             return
-        for j in candidates:
-            if j.code <= last_code or j.q - start + 1 < 2:
-                continue
-            seq.append(j)
-            rec(seq, j.q if j.kind == "data" else j.q + 1, j.code, r)
+        # Codes from 2*start + 2 put the junction at q >= start + 1, so the
+        # piece before it covers two abscissae and codes increase; codes up to
+        # 2*mu stop at the data knot x_mu, keeping out of the boundary gap.
+        # The next piece starts at x_q after a data knot, x_{q+1} after a gap.
+        for code in range(2 * start + 2, 2 * mu + 1):
+            seq.append(slots[code])
+            rec(seq, (code + 1) // 2, r)
             seq.pop()
 
     for r in range(k + 1):
-        rec([], 0, -1, r)
+        rec([], 0, r)
     return results
-
-
-def _end_line(s: BrokenLine, side: Literal["left", "right"]) -> tuple[float, float, float]:
-    """(x0, y0, slope) of the first or last linear piece of a chain polyline."""
-    if side == "left":
-        slope = (s.v[1] - s.v[0]) / (s.t[1] - s.t[0])
-        return float(s.t[0]), float(s.v[0]), float(slope)
-    slope = (s.v[-1] - s.v[-2]) / (s.t[-1] - s.t[-2])
-    return float(s.t[-1]), float(s.v[-1]), float(slope)
 
 
 def solve_config(
@@ -160,44 +149,36 @@ def solve_config(
     Identical flanking lines mean the junction is improper and the merged
     configuration (enumerated separately) covers it.
     """
-    mu = data.mu
-    config.validate(mu)
+    config.validate(data.mu)
     fit = _fit or (lambda chain: fit_chain(data, chain, p))
-    chains = config.chains(mu)
-    fits = [fit(chain) for chain in chains]
+    fits = [fit(chain)[0] for chain in config.chains(data.mu)]
+    gaps = [j.q for j in config.junctions if j.kind == "gap"]
 
-    ts = [data.a]
-    vs = [float(fits[0][0].v[0])]
-    chain_idx = 0
-    for j in config.junctions:
-        spline = fits[chain_idx][0]
-        if j.kind == "data":
-            pos = int(np.flatnonzero(spline.t == data.x[j.q])[0])
-            ts.append(float(data.x[j.q]))
-            vs.append(float(spline.v[pos]))
-        else:
-            x0l, y0l, ml = _end_line(spline, "right")
-            chain_idx += 1
-            x0r, y0r, mr = _end_line(fits[chain_idx][0], "left")
-            lo, hi = float(data.x[j.q]), float(data.x[j.q + 1])
-            mid = 0.5 * (lo + hi)
-            vl = y0l + (mid - x0l) * ml
-            vr = y0r + (mid - x0r) * mr
-            if abs(ml - mr) <= 1e-12 * (abs(ml) + abs(mr)):
-                if abs(vl - vr) <= 1e-12 * (abs(vl) + abs(vr)):
-                    return Infeasible(config, "improper")
-                return Infeasible(config, "parallel")
-            xi = (vr - vl) / (ml - mr) + mid
-            tau_gap = 1e-12 * (hi - lo)
-            if not (lo + tau_gap < xi < hi - tau_gap):
-                return Infeasible(config, "outside-gap")
-            ts.append(xi)
-            vs.append(y0l + (xi - x0l) * ml)
-    last = fits[-1][0]
-    ts.append(data.b)
-    vs.append(float(last.v[-1]))
+    # A chain's breakpoints are data.x[chain.breakpoint_indices()], so the
+    # polyline is the chains' breakpoints in order, with the two chain ends
+    # at each gap replaced by the intersection of the flanking end pieces.
+    ts, vs = [fits[0].t[:-1]], [fits[0].v[:-1]]
+    for q, left, right in zip(gaps, fits, fits[1:]):
+        ml = (left.v[-1] - left.v[-2]) / (left.t[-1] - left.t[-2])
+        mr = (right.v[1] - right.v[0]) / (right.t[1] - right.t[0])
+        lo, hi = float(data.x[q]), float(data.x[q + 1])
+        mid = 0.5 * (lo + hi)
+        vl = left.v[-1] + (mid - left.t[-1]) * ml
+        vr = right.v[0] + (mid - right.t[0]) * mr
+        if abs(ml - mr) <= 1e-12 * (abs(ml) + abs(mr)):
+            if abs(vl - vr) <= 1e-12 * (abs(vl) + abs(vr)):
+                return Infeasible(config, "improper")
+            return Infeasible(config, "parallel")
+        xi = (vr - vl) / (ml - mr) + mid
+        tau_gap = 1e-12 * (hi - lo)
+        if not (lo + tau_gap < xi < hi - tau_gap):
+            return Infeasible(config, "outside-gap")
+        ts += [[xi], right.t[1:-1]]
+        vs += [[left.v[-1] + (xi - left.t[-1]) * ml], right.v[1:-1]]
+    ts.append(fits[-1].t[-1:])
+    vs.append(fits[-1].v[-1:])
 
-    spline = BrokenLine(np.array(ts), np.array(vs))
+    spline = BrokenLine(np.concatenate(ts), np.concatenate(vs))
     err = error_norm(data, spline, p)
     proper = sum(1 for lab in classify_knots(spline, data) if lab.proper)
     return FitResult(spline, err, config, proper)
@@ -316,9 +297,11 @@ def _p2_errors_batch(A: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(r * r, axis=1))
 
 
-def _lp_errors_batch(
-    A: np.ndarray, f: np.ndarray, infinity: bool, tol: float = 1e-9, max_pivots: int = 200
-) -> np.ndarray:
+_ORACLE_TOL = 1e-9
+_ORACLE_MAX_PIVOTS = 200
+
+
+def _lp_errors_batch(A: np.ndarray, f: np.ndarray, infinity: bool) -> np.ndarray:
     """Exact min of ||f - A v||_1 (or _inf) per batch entry.
 
     Vectorized dense primal simplex over the batch: free values split into
@@ -374,11 +357,11 @@ def _lp_errors_batch(
     # Iterate on a shrinking active sub-batch; finished combos are archived.
     values = np.zeros(C)
     alive = np.arange(C)
-    for _ in range(max_pivots):
+    for _ in range(_ORACLE_MAX_PIVOTS):
         ar = np.arange(len(alive))
         red = T[:, m, :nv]
         j = np.argmin(red, axis=1)  # Dantzig: most negative reduced cost
-        done = red[ar, j] >= -tol
+        done = red[ar, j] >= -_ORACLE_TOL
         if done.any():
             values[alive[done]] = -T[done, m, -1]
             keep = ~done
@@ -387,7 +370,7 @@ def _lp_errors_batch(
             if len(alive) == 0:
                 break
         col = T[ar, :m, j]
-        pos = col > tol
+        pos = col > _ORACLE_TOL
         ratios = np.full_like(col, np.inf)
         np.divide(T[:, :m, -1], col, out=ratios, where=pos)
         l = np.argmin(ratios, axis=1)
@@ -412,8 +395,7 @@ def _oracle_errors(data: DataSet, bps_batch: np.ndarray, p: PNorm) -> np.ndarray
             out[start : start + len(chunk)] = _lp_errors_batch(A, data.f, p.is_infinity)
         else:
             for c in range(len(chunk)):
-                v0, *_ = np.linalg.lstsq(A[c], data.f, rcond=None)
-                v = _newton_fit(A[c], data.f, v0, p.p)
+                v = _newton_fit(A[c], data.f, p.p)
                 out[start + c] = residual_norm(data.f - A[c] @ v, p)
     return out
 

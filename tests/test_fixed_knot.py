@@ -222,6 +222,23 @@ class TestFitChain:
                     v[i] += sign * delta
                     assert np.max(np.abs(data.f - A @ v)) >= err - 1e-12
 
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    def test_newton_stops_on_exact_fit(self, p, monkeypatch):
+        # Zero residuals leave the smoothed objective flat, so Newton must stop
+        # once no step strictly decreases it instead of running every iteration.
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        xs = np.arange(8.0)
+        _, err = fit_chain(DataSet(xs, 0.5 * xs - 1.0), ChainProblem(0, 7), PNorm.general(p))
+        assert err <= 1e-12
+        assert len(calls) <= 20
+
     def test_chain_validation(self):
         with pytest.raises(ValueError):
             ChainProblem(3, 3)

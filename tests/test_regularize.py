@@ -128,6 +128,25 @@ class TestRegularize:
                 proper_knot_positions(s, data)
             )
 
+    def test_small_values_scale_exactly(self):
+        # The thresholds are relative to the data, so at f x 2^-43 (a power of
+        # two, exact) the output is the unit output times 2^-43 and still
+        # gains no proper knot.
+        rng = make_rng(200)
+        c = 2.0**-43
+        for _ in range(200):
+            data = random_dataset(rng, int(rng.integers(1, 11)))
+            s = random_polyline(rng, data.a, data.b, 5)
+            unit = regularize(data, s)
+            small_data = DataSet(data.x, c * data.f)
+            small_s = BrokenLine(s.t, c * s.v)
+            out = regularize(small_data, small_s)
+            assert np.array_equal(out.t, unit.t)
+            assert np.array_equal(out.v, c * unit.v)
+            assert len(proper_knot_positions(out, small_data)) <= len(
+                proper_knot_positions(small_s, small_data)
+            )
+
     def test_domain_mismatch(self):
         data = DataSet([0.0, 1.0], [0.0, 0.0])
         with pytest.raises(DomainError):

@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from brokenline.cli import load_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_generate_instance_writes_loadable_csv(tmp_path):
+    out = tmp_path / "planted.csv"
+    args = ["--mu", "4", "--kind", "planted", "--k", "2", "--seed", "3", "--out", str(out)]
+    proc = run_script("generate_instance.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    data = load_dataset(out)
+    assert data.mu == 4
+
+
+def test_oracle_convergence_runs():
+    proc = run_script("oracle_convergence.py", "--instances", "1", "--grids", "1", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2].startswith("mean")

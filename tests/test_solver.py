@@ -139,6 +139,8 @@ class TestSolveConfig:
                 KnotConfig((Junction("data", 1), Junction("gap", 1))),
                 PNorm.two(),
             )
+        with pytest.raises(ValueError):
+            solve_config(data, KnotConfig((Junction("foo", 1),)), PNorm.two())
 
 
 class TestBestFit:
@@ -270,6 +272,24 @@ class TestBestFit:
             result = best_fit(DataSet(data.x, scale * data.f), 2, norm)
             assert abs(result.error - scale * base.error) <= 1e-9 * scale * base.error
 
+    @pytest.mark.parametrize("p", NORMS + [PNorm.general(1.5), PNorm.general(3.0)])
+    def test_error_moves_with_affine_units(self, p):
+        # x -> alpha*x + beta and f -> gamma*f + delta scale the optimal error
+        # by |gamma|; the maps cover epoch-sized offsets, tiny and huge values.
+        # Noisy data keeps the optimum away from zero, where rounding the moved
+        # abscissae alone would show.
+        rng = make_rng(60)
+        cases = [(random_dataset(rng, 7), 2), (smooth_dataset(rng, 8), 2)]
+        cases += [(random_dataset(rng, 6), 3), (random_dataset(rng, 9), 1)]
+        cases += [(smooth_dataset(rng, 6), 3), (random_dataset(rng, 5), 2)]
+        maps = [(60.0, 1.7e9, -2.5, 100.0), (1e-6, 3.0, 1e7, -4e7), (2.0, 0.0, 1e-12, 0.0)]
+        for data, k in cases:
+            base = best_fit(data, k, p).error
+            for alpha, beta, gamma, delta in maps:
+                moved = DataSet(alpha * data.x + beta, gamma * data.f + delta)
+                error = best_fit(moved, k, p).error
+                assert abs(error - abs(gamma) * base) <= 1e-6 * abs(gamma) * base
+
     @pytest.mark.parametrize("p", NORMS)
     def test_proper_knots_at_any_scale(self, p):
         data = random_dataset(make_rng(7), 10)
@@ -312,6 +332,15 @@ class TestGridOracle:
             values = [grid_oracle(data, 2, p, g) for g in (1, 4, 16)]
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-12
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_general_p_scales_with_f(self, p):
+        data = random_dataset(make_rng(7), 6)
+        norm = PNorm.general(p)
+        base = grid_oracle(data, 1, norm, 4)
+        for scale in (1e-9, 1e-13):
+            value = grid_oracle(DataSet(data.x, scale * data.f), 1, norm, 4)
+            assert abs(value - scale * base) <= 1e-12 * scale * base
 
     def test_rejects_bad_grid(self):
         data = DataSet([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0])
