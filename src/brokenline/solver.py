@@ -7,9 +7,9 @@ decoupled chain fits, and checks the free gap knots by intersecting the two
 adjacent chain-boundary lines. Configurations whose intersection leaves the
 open gap are dominated by data-knot configurations, which the enumeration
 covers, so discarding them never loses the optimum. Configurations are
-visited in increasing order of a line-fit lower bound, and only those that
-can still beat or tie the incumbent are fitted and assembled (see
-``best_fit``).
+streamed lazily in nondecreasing order of a line-fit lower bound, and only
+those that can still beat or tie the incumbent are fitted and assembled (see
+``_configs_by_bound`` and ``best_fit``).
 
 A brute-force grid oracle provides an independent upper bound on the minimum
 for cross-checking; its inner fits run on separate batched machinery (normal
@@ -20,10 +20,16 @@ little code as possible.
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
+import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import BrokenLine, DataSet, PNorm, classify_knots
 from .fixed_knot import ChainProblem, _newton_fit, fit_chain
@@ -105,6 +111,10 @@ class FitResult:
     proper_knot_count: int
 
 
+def _junction(code: int) -> Junction:
+    return Junction("gap" if code % 2 else "data", code // 2)
+
+
 def enumerate_configs(mu: int, k: int) -> list[KnotConfig]:
     """All junction placements with 0..k junctions surviving the pruning rules.
 
@@ -115,7 +125,7 @@ def enumerate_configs(mu: int, k: int) -> list[KnotConfig]:
     """
     if mu < 1 or k < 0:
         raise ValueError("need mu >= 1 and k >= 0")
-    slots = [Junction("gap" if code % 2 else "data", code // 2) for code in range(2 * mu + 1)]
+    slots = [_junction(code) for code in range(2 * mu + 1)]
     results: list[KnotConfig] = []
 
     def rec(seq: list[Junction], start: int, r: int) -> None:
@@ -212,18 +222,140 @@ def _lower_bound(data: DataSet, config: KnotConfig, p: PNorm, line_error) -> flo
     return residual_norm(np.array(errs), p)
 
 
+def _p2_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Least-squares line errors of all blocks: E[a, b] for points a..b.
+
+    Each block is centred on its own means, twice, so the rounding of a mean
+    at an offset such as x ~ 1.7e9 leaves no bias; running sums of x, x^2, f
+    and xf over the whole data would cancel catastrophically there. The
+    slope is sum(dx*df) / sum(dx*dx) and the error the norm of
+    df - slope*dx. Blocks of one or two points get 0, since a line passes
+    through them.
+    """
+    n = len(x)
+    E = np.zeros((n, n))
+    for length in range(3, n + 1):
+        dx = sliding_window_view(x, length)
+        df = sliding_window_view(f, length)
+        for _ in range(2):
+            dx = dx - dx.mean(axis=1, keepdims=True)
+            df = df - df.mean(axis=1, keepdims=True)
+        slope = np.sum(dx * df, axis=1) / np.sum(dx * dx, axis=1)
+        r = df - slope[:, None] * dx
+        a = np.arange(n - length + 1)
+        E[a, a + length - 1] = np.sqrt(np.sum(r * r, axis=1))
+    return E
+
+
+def _configs_by_bound(
+    data: DataSet, k: int, p: PNorm, line_error
+) -> Iterator[tuple[float, KnotConfig]]:
+    """The configurations of ``enumerate_configs`` in nondecreasing bound order.
+
+    Yields ``(bound, config)`` lazily, bound being ``_lower_bound`` up to
+    rounding. A configuration is a path through junction codes (code 0 is
+    the left end of the data) whose edges are the blocks of ``_lower_bound``.
+    Edge costs are line errors, combined by max for p = inf and otherwise
+    summed as p-th powers; for general p each error is first divided by one
+    power of two above the largest, so large p cannot overflow the sum. A
+    suffix dynamic program gives every (code, junctions left) state its least
+    completion cost, and a heap keyed by prefix cost combined with that
+    minimum pops whole configurations cheapest first: lazy k-shortest paths
+    in a hop-limited DAG (Eppstein, SIAM J. Comput. 1998). Each pop pushes at
+    most two entries, its next sibling and its best child.
+
+    At p = 2 the line errors come in closed form from ``_p2_line_errors``;
+    otherwise each is ``line_error(a, b)``, asked only for blocks some
+    configuration uses.
+    """
+    mu, inf = data.mu, p.is_infinity
+    codes = np.arange(2 * mu + 1)
+    q, gap = codes // 2, codes % 2 == 1
+    # The first piece and a piece after a gap start their block at their own
+    # first point; after a data knot the knot's point belongs to the block
+    # on its left, or to both blocks for p = inf.
+    start = np.where(gap | (not inf), q + 1, q)
+    start[0] = 0
+    # States: the left end always, junction codes 2..2mu when k >= 1. The
+    # next junction leaves two abscissae to the piece before it; the left end
+    # takes one when k >= 1, a junction takes another when k >= 2.
+    live = (codes == 0) | ((codes >= 2) & (k >= 1))
+    edge = codes[None, :] >= 2 * ((codes[:, None] + 1) // 2) + 2
+    edge &= ((codes == 0) & (k >= 1) | (codes >= 2) & (k >= 2))[:, None]
+
+    if p.p == 2.0:
+        E = _p2_line_errors(data.x, data.f)
+    else:
+        E = np.zeros((mu + 2, mu + 2))
+        rows, cols = np.nonzero(edge)
+        blocks = set(zip(start[rows].tolist(), q[cols].tolist()))
+        blocks |= {(a, mu + 1) for a in start[live].tolist()}
+        for a, b in sorted(blocks):
+            if b > a + 1:
+                E[a, b] = line_error(a, b)
+
+    if inf or p.p == 1.0:
+        cost, to_bound = E, float
+    elif p.p == 2.0:
+        cost, to_bound = E * E, math.sqrt
+    else:
+        scale = math.ldexp(1.0, math.frexp(float(E.max()))[1])
+        cost = (E / scale) ** p.p
+        to_bound = lambda key: scale * key ** (1.0 / p.p)  # noqa: E731
+    vcombine, combine = (np.maximum, max) if inf else (np.add, operator.add)
+    end = cost[start, mu + 1]
+    W = np.where(edge, cost[start[:, None], q[None, :]], np.inf)
+    least = [end]  # least[r][c]: least completion cost with r junctions left
+    for _ in range(k):
+        least.append(np.minimum(end, vcombine(W, least[-1][None, :]).min(axis=1)))
+
+    children: dict[tuple[int, int], tuple[list[float], list[int]]] = {}
+
+    def ordered(c: int, r: int) -> tuple[list[float], list[int]]:
+        """Moves out of state (c, r), cheapest completion first; -1 ends."""
+        if (c, r) not in children:
+            moves = np.flatnonzero(edge[c]) if r else np.empty(0, dtype=int)
+            h = np.concatenate(([end[c]], vcombine(W[c, moves], least[r - 1][moves])))
+            order = np.argsort(h, kind="stable")
+            children[c, r] = h[order].tolist(), np.concatenate(([-1], moves))[order].tolist()
+        return children[c, r]
+
+    slots = [_junction(code) for code in range(2 * mu + 1)]
+    seq = itertools.count()
+    # (key, tie, prefix cost, prefix codes, state, junctions left, move index)
+    heap = [(ordered(0, k)[0][0], next(seq), 0.0, (), 0, k, 0)]
+    while heap:
+        key, _, g, prefix, c, r, i = heapq.heappop(heap)
+        h, moves = ordered(c, r)
+        # Keys never fall below the one just popped, so rounding cannot
+        # reorder the stream.
+        if i + 1 < len(h):
+            sibling = max(key, combine(g, h[i + 1]))
+            heapq.heappush(heap, (sibling, next(seq), g, prefix, c, r, i + 1))
+        c2 = moves[i]
+        if c2 < 0:
+            yield to_bound(key), KnotConfig(tuple(slots[code] for code in prefix))
+        else:
+            g2 = combine(g, float(W[c, c2]))
+            best = ordered(c2, r - 1)[0][0]
+            heapq.heappush(
+                heap, (max(key, combine(g2, best)), next(seq), g2, (*prefix, c2), c2, r - 1, 0)
+            )
+
+
 def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
     """Global minimum of the discrete p-norm error over polylines with <= k knots.
 
     When mu < k+1 the data is reproduced exactly by the interpolating
     polyline. Otherwise the chains of a configuration partition the data, so
     a feasible configuration's error is the p-norm of its chain errors (its
-    rank), which ``_lower_bound`` never exceeds. Configurations are visited in
-    increasing order of that bound; one is assembled only when its rank is
-    within a rounding margin of the incumbent, and the walk stops once the
-    bound exceeds that margin. The winner is the exact (error, sort_key)
-    minimum, ties broken by fewer junctions then lexicographically smaller
-    configuration, exactly as if every configuration were solved.
+    rank), which its line-fit lower bound never exceeds. Configurations come
+    from ``_configs_by_bound`` in nondecreasing bound order; one is assembled
+    only when its rank is within a rounding margin of the incumbent, and the
+    walk stops once the bound exceeds that margin. The winner is the exact
+    (error, sort_key) minimum, ties broken by fewer junctions then
+    lexicographically smaller configuration, exactly as if every
+    configuration were solved.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -231,19 +363,13 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
         return _interpolant_result(data)
 
     cached_fit = functools.cache(lambda chain: fit_chain(data, chain, p))
-    line_error = functools.cache(lambda a, b: cached_fit(ChainProblem(a, b))[1])
-
-    # enumerate_configs yields sort_key order and the sort is stable, so ties
-    # in the bound keep that order.
-    ordered = sorted(
-        ((_lower_bound(data, cfg, p, line_error), cfg) for cfg in enumerate_configs(data.mu, k)),
-        key=lambda entry: entry[0],
-    )
     # The rank and the assembled polyline's error_norm agree up to rounding;
     # the margin keeps every configuration that could tie.
     slack = 1e-9 * float(np.max(np.abs(data.f)))
     best: FitResult | None = None
-    for bound, cfg in ordered:
+    for bound, cfg in _configs_by_bound(
+        data, k, p, lambda a, b: cached_fit(ChainProblem(a, b))[1]
+    ):
         limit = np.inf if best is None else best.error * (1.0 + 1e-9) + slack
         if bound > limit:
             break

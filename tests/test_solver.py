@@ -22,7 +22,7 @@ from brokenline import (
     solve_config,
 )
 from brokenline.norms import residual_norm
-from brokenline.solver import _lower_bound
+from brokenline.solver import _configs_by_bound, _lower_bound, _p2_line_errors
 
 from conftest import make_rng, planted_instance, random_dataset, smooth_dataset
 
@@ -255,6 +255,95 @@ class TestBestFit:
                     rank = residual_norm(np.array([fit(c)[1] for c in cfg.chains(data.mu)]), p)
                     bound = _lower_bound(data, cfg, p, lambda a, b: fit(ChainProblem(a, b))[1])
                     assert bound <= rank * (1.0 + 1e-9) + slack
+
+    def test_stream_matches_enumeration(self):
+        # The best-first stream yields exactly the enumerated configurations
+        # whose bound is at or below a cut-off, with the same bounds, in
+        # nondecreasing bound order. At p = 2 both sides read the closed-form
+        # line table, which test_p2_line_table_matches_fit_chain checks.
+        rng = make_rng(59)
+        cases = [(random_dataset(rng, 7), 3), (smooth_dataset(rng, 6), 2)]
+        cases += [(planted_instance(rng, 5, 2)[0], 2)]
+        for p in NORMS + [PNorm.general(1.5), PNorm.general(3.0)]:
+            for data, k in cases:
+                fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+                line_error = lambda a, b: fit(ChainProblem(a, b))[1]  # noqa: E731
+                if p.p == 2.0:
+                    table = _p2_line_errors(data.x, data.f)
+                    line_error = lambda a, b: table[a, b]  # noqa: E731
+                ref = {
+                    c: _lower_bound(data, c, p, line_error) for c in enumerate_configs(data.mu, k)
+                }
+                # Cut between two clearly distinct bounds near the median, and
+                # nowhere, so rounding cannot move a configuration across.
+                values = sorted(set(ref.values()))
+                mid = next(
+                    i for i in range(len(values) // 2, len(values) - 1)
+                    if values[i + 1] > values[i] * (1.0 + 1e-9)
+                )
+                for cutoff in (0.5 * (values[mid] + values[mid + 1]), np.inf):
+                    got = list(
+                        itertools.takewhile(
+                            lambda entry: entry[0] <= cutoff,
+                            _configs_by_bound(data, k, p, line_error),
+                        )
+                    )
+                    bounds = [bound for bound, _ in got]
+                    assert bounds == sorted(bounds)
+                    assert len(got) == len({cfg for _, cfg in got})
+                    assert {cfg for _, cfg in got} == {c for c, b in ref.items() if b <= cutoff}
+                    for bound, cfg in got:
+                        assert abs(bound - ref[cfg]) <= 1e-12 * ref[cfg]
+
+    def test_p2_line_table_matches_fit_chain(self):
+        # The closed-form table is within 1e-9*max|f| of the least-squares
+        # no-knot chain fits, at epoch-sized x and tiny f too, and the bound
+        # it feeds stays below every configuration's rank.
+        p = PNorm.two()
+        data = random_dataset(make_rng(61), 9)
+        planted = planted_instance(make_rng(62), 9, 3)[0]
+        cases = [
+            data,
+            DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0),
+            DataSet(data.x, 1e-13 * data.f),
+            planted,
+            DataSet(60.0 * planted.x + 1.7e9, -2.5 * planted.f + 100.0),
+        ]
+        for data in cases:
+            fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+            table = _p2_line_errors(data.x, data.f)
+            slack = 1e-9 * float(np.max(np.abs(data.f)))
+            n = len(data.x)
+            for a in range(n):
+                for b in range(a + 2, n):
+                    assert abs(table[a, b] - fit(ChainProblem(a, b))[1]) <= slack
+            for cfg in enumerate_configs(data.mu, 3):
+                rank = residual_norm(np.array([fit(c)[1] for c in cfg.chains(data.mu)]), p)
+                bound = _lower_bound(data, cfg, p, lambda a, b: table[a, b])
+                assert bound <= rank * (1.0 + 1e-9) + slack
+
+    def test_large_p_is_exact(self):
+        # Line errors near 434 at p = 200: summing raw p-th powers would
+        # overflow to inf, so the stream scales them before summing.
+        wide = random_dataset(make_rng(5), 7)
+        data = DataSet(wide.x, 1e3 * wide.f)
+        p = PNorm.general(200.0)
+        result = best_fit(data, 2, p)
+        fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+        outcomes = [solve_config(data, c, p, _fit=fit) for c in enumerate_configs(data.mu, 2)]
+        ref = min(
+            (out for out in outcomes if isinstance(out, FitResult)),
+            key=lambda out: (out.error, out.config.sort_key()),
+        )
+        assert (result.error, result.config.sort_key()) == (ref.error, ref.config.sort_key())
+
+    def test_scale_smoke(self):
+        # 7061629 configurations at k=4; the stream reaches the optimum
+        # without building them.
+        data = smooth_dataset(make_rng(901), 60)
+        result = best_fit(data, 4, PNorm.two())
+        assert check_structure(data, result.spline, PNorm.two()).all_pass
+        assert result.error <= best_fit(data, 3, PNorm.two()).error
 
     def test_small_values_keep_the_optimum(self):
         data = random_dataset(make_rng(7), 10)
