@@ -147,23 +147,45 @@ def _lp_fit(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
     """Solve the l_1 or l_inf fitting LP over free coefficients ``beta``.
 
     Free variables are split into positive and negative parts; the residual
-    bound variables eps satisfy -eps <= f - A beta <= eps. The simplex starts
-    at beta = 0 with each eps entering at the tight row of its pair
-    (Barrodale & Roberts, 1973). These pivots are on -1 entries, so the start
-    right-hand sides (|f_i| and 2|f_i|, or b_r - min b) are never negative.
+    bound variables eps satisfy -eps <= f - A beta <= eps, as the rows
+    ``[A, -A, -E] <= f`` and then ``[-A, A, -E] <= -f``, each with a slack.
+    The simplex starts at beta = 0 with each eps basic in the tight row of
+    its pair (Barrodale & Roberts, 1973): for l_1, eps_i in row i if
+    f_i < 0, else in row n+i; for l_inf, the one eps in the row of least
+    right-hand side. The tableau is written there directly: each tight row
+    is negated, the rows it binds (its pair row, or for l_inf every other
+    row) have it subtracted, and the objective row is c minus the negated
+    tight rows, accumulated in row order. That is what pivots on the -1
+    entries of the eps columns would give, value for value, so the start
+    right-hand sides (|f_i| and 2|f_i|, or b - min b) are never negative.
+    Negation is written ``0.0 - row`` so that its zeros are +0, as after a
+    pivot; the l_inf tableau then matches the pivoted one bit for bit.
     """
     n, d = A.shape
     n_eps = 1 if p.is_infinity else n
-    c = np.zeros(2 * d + n_eps)
-    c[2 * d :] = 1.0
-    E = np.ones((n, 1)) if p.is_infinity else np.eye(n)
-    A_ub = np.block([[A, -A, -E], [-A, A, -E]])
-    b_ub = np.concatenate([fs, -fs])
+    m, slack = 2 * n, 2 * d + n_eps
+    T = np.zeros((m, slack + m + 1))
+    T[:n, :d] = T[n:, d : 2 * d] = A
+    T[:n, d : 2 * d] = T[n:, :d] = -A
+    T[np.arange(m), 2 * d + np.arange(m) % n_eps] = -1.0
+    T[np.arange(m), slack + np.arange(m)] = 1.0
+    T[:n, -1] = fs
+    T[n:, -1] = -fs
     if p.is_infinity:
-        start = ((int(np.argmin(b_ub)), 2 * d),)
+        tight = np.argmin(T[:, -1:], axis=0)
+        bound = np.flatnonzero(np.arange(m) != tight[0])
     else:
-        start = tuple((i if fs[i] < 0 else n + i, 2 * d + i) for i in range(n))
-    x, _ = solve_lp(c, A_ub, b_ub, start)
+        rows = np.arange(n)
+        tight = np.where(fs < 0, rows, rows + n)
+        bound = np.where(fs < 0, rows + n, rows)
+    T[bound] -= T[tight]
+    T[tight] = 0.0 - T[tight]
+    obj = np.zeros(slack + m + 1)
+    obj[2 * d : slack] = 1.0
+    obj -= np.add.accumulate(T[tight], axis=0)[-1]
+    basis = slack + np.arange(m)
+    basis[tight] = 2 * d + np.arange(n_eps)
+    x = solve_lp(T, obj, basis)
     return x[:d] - x[d : 2 * d]
 
 

@@ -1,10 +1,10 @@
 """Dense tableau simplex with Bland's rule for the tiny fitting LPs.
 
 The fitting problems here have a few dozen rows at most, so a dense tableau is
-plenty. There is no auxiliary phase: the caller starts the LP at a feasible
-vertex it knows, given as pivots on the slack tableau. Bland's anti-cycling
-rule makes the returned vertex deterministic, which pins down a canonical
-minimizer whenever the l_1 / l_inf fit is not unique.
+plenty. There is no auxiliary phase: the caller writes the tableau at a
+feasible vertex it knows. Bland's anti-cycling rule makes the returned vertex
+deterministic, which pins down a canonical minimizer whenever the l_1 / l_inf
+fit is not unique.
 """
 
 from __future__ import annotations
@@ -46,38 +46,19 @@ def _iterate(T: np.ndarray, obj: np.ndarray, basis: np.ndarray) -> None:
     raise SimplexError("simplex iteration limit exceeded")
 
 
-def solve_lp(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    start: tuple[tuple[int, int], ...] = (),
-) -> tuple[np.ndarray, float]:
-    """Minimize ``c @ x`` subject to ``A @ x <= b`` and ``x >= 0``.
+def solve_lp(T: np.ndarray, obj: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Minimize from a tableau written at a feasible vertex.
 
-    The slack basis is feasible when ``b >= 0``. Otherwise ``start`` lists the
-    ``(row, column)`` pivots that take it to a feasible vertex; a negative
-    right-hand side left after them raises :class:`SimplexError`. Returns the
-    optimal vertex and objective value.
+    ``T`` holds one row per constraint, one column per variable (slacks
+    included) and the right-hand side last; ``obj`` holds the reduced costs
+    and minus the objective value last; ``basis[r]`` is the variable basic in
+    row ``r``. All three are updated in place. A negative right-hand side
+    raises :class:`SimplexError`. Returns the optimal vertex over every
+    column of ``T`` but the last.
     """
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A
-    T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:, -1] = b
-    obj = np.zeros(n + m + 1)
-    obj[:n] = c
-    basis = n + np.arange(m)
-    for row, col in start:
-        _pivot(T, obj, row, col)
-        basis[row] = col
     if (T[:, -1] < 0.0).any():
         raise SimplexError("start is not a feasible vertex")
     _iterate(T, obj, basis)
-
-    x = np.zeros(n)
-    in_x = basis < n
-    x[basis[in_x]] = T[in_x, -1]
-    return x, float(c @ x)
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:, -1]
+    return x

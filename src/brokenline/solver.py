@@ -247,6 +247,79 @@ def _p2_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return E
 
 
+_PAIR_CHUNK = 1 << 20  # misses a line table holds at once, which bounds its memory
+
+
+def _pairs(n: int, gap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Point pairs i < j with j - i >= gap, in chunks of about _PAIR_CHUNK misses."""
+    i, j = np.triu_indices(n, gap)
+    step = max(1, _PAIR_CHUNK // n)
+    for lo in range(0, len(i), step):
+        yield i[lo : lo + step], j[lo : lo + step]
+
+
+def _chord_misses(x: np.ndarray, f: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Misses of every point from the line through points i and j, a row per pair.
+
+    The line is written f_i + slope*(x - x_i), so only differences of
+    abscissae enter and an offset such as x ~ 1.7e9 does not cancel.
+    """
+    slope = (f[j] - f[i]) / (x[j] - x[i])
+    return f - (f[i, None] + slope[:, None] * (x - x[i, None]))
+
+
+def _l1_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Least-absolute-deviation line errors of all blocks: E[a, b] for points a..b.
+
+    Some best l_1 line passes through two of the block's points (Barrodale &
+    Roberts, SIAM J. Numer. Anal. 1973: the fitting LP has an optimal vertex,
+    and at a vertex two residuals vanish). So E[a, b] is the least, over
+    pairs a <= i < j <= b, of the sum of the block's absolute misses from the
+    line through points i and j. Each sum runs outward from the pair, down
+    from j to a and up from j+1 to b, so it adds the misses of points a..b
+    only. Blocks of one or two points get 0.
+    """
+    n = len(x)
+    pts = np.arange(n)
+    E = np.full((n, n), np.inf)
+    for i, j in _pairs(n, 1):
+        miss = np.abs(_chord_misses(x, f, i, j))
+        down = np.where(pts <= j[:, None], miss, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        up = np.where(pts > j[:, None], miss, 0.0).cumsum(axis=1)
+        down = np.where(pts <= i[:, None], down, np.inf)  # the block must hold the pair
+        up = np.where(pts >= j[:, None], up, np.inf)
+        for a in range(n - 2):
+            row = E[a, a + 2 :]
+            np.minimum(row, (down[:, a, None] + up[:, a + 2 :]).min(axis=0), out=row)
+    return np.where(pts >= pts[:, None] + 2, E, 0.0)
+
+
+def _linf_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Chebyshev line errors of all blocks: E[a, b] for points a..b.
+
+    Lines form a Haar system of dimension two, so the best error on a block
+    is the largest best error on any three of its points (Cheney,
+    *Introduction to Approximation Theory*, ch. 2). On points i < m < j it
+    is |delta| / 2, delta being point m's miss from the chord through i and
+    j; D[i, j] is its largest over m. A triple either misses a, misses b, or
+    holds both, so E[a, b] = max(E[a+1, b], E[a, b-1], D[a, b]) by increasing
+    block length, which is the largest D[i, j] with a <= i < j <= b: a
+    running max along b, then one back along a. Blocks of one or two points
+    get 0.
+    """
+    n = len(x)
+    pts = np.arange(n)
+    D = np.zeros((n, n))
+    for i, j in _pairs(n, 2):
+        inner = (i[:, None] < pts) & (pts < j[:, None])
+        D[i, j] = 0.5 * np.where(inner, np.abs(_chord_misses(x, f, i, j)), 0.0).max(axis=1)
+    return np.maximum.accumulate(np.maximum.accumulate(D, axis=1)[::-1], axis=0)[::-1]
+
+
+# Closed-form line-error tables by p; other norms fit each block.
+_LINE_TABLES = {1.0: _l1_line_errors, 2.0: _p2_line_errors, math.inf: _linf_line_errors}
+
+
 def _configs_by_bound(
     data: DataSet, k: int, p: PNorm, line_error
 ) -> Iterator[tuple[float, KnotConfig]]:
@@ -264,9 +337,9 @@ def _configs_by_bound(
     in a hop-limited DAG (Eppstein, SIAM J. Comput. 1998). Each pop pushes at
     most two entries, its next sibling and its best child.
 
-    At p = 2 the line errors come in closed form from ``_p2_line_errors``;
-    otherwise each is ``line_error(a, b)``, asked only for blocks some
-    configuration uses.
+    At p in {1, 2, inf} the line errors come in closed form from
+    ``_LINE_TABLES``; otherwise each is ``line_error(a, b)``, asked only for
+    blocks some configuration uses.
     """
     mu, inf = data.mu, p.is_infinity
     codes = np.arange(2 * mu + 1)
@@ -283,8 +356,8 @@ def _configs_by_bound(
     edge = codes[None, :] >= 2 * ((codes[:, None] + 1) // 2) + 2
     edge &= ((codes == 0) & (k >= 1) | (codes >= 2) & (k >= 2))[:, None]
 
-    if p.p == 2.0:
-        E = _p2_line_errors(data.x, data.f)
+    if p.p in _LINE_TABLES:
+        E = _LINE_TABLES[p.p](data.x, data.f)
     else:
         E = np.zeros((mu + 2, mu + 2))
         rows, cols = np.nonzero(edge)

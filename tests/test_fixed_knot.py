@@ -12,8 +12,9 @@ from brokenline import (
     fit_fixed_knots,
     fit_line,
 )
+from brokenline import fixed_knot
 from brokenline.fixed_knot import hat_design
-from brokenline.simplex import SimplexError, solve_lp
+from brokenline.simplex import SimplexError, _pivot, solve_lp
 
 from conftest import make_rng, random_dataset
 
@@ -23,43 +24,121 @@ ALL_NORMS = [PNorm.one(), PNorm.two(), PNorm.infinity()]
 CHAIN_GOLDEN = 0.408248290463863
 
 
+def pivoted_start(c, A, b, start=()):
+    """Slack tableau of min c @ x, A @ x <= b, x >= 0, taken through ``start``.
+
+    ``start`` lists (row, column) pivots made with the simplex's own
+    ``_pivot``. Taken through the start pivots of ``fitting_lp``, this is
+    the reference for the tableau ``_lp_fit`` writes in closed form.
+    """
+    m, n = A.shape
+    T = np.zeros((m, n + m + 1))
+    T[:, :n] = A
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:, -1] = b
+    obj = np.zeros(n + m + 1)
+    obj[:n] = c
+    basis = n + np.arange(m)
+    for row, col in start:
+        _pivot(T, obj, row, col)
+        basis[row] = col
+    return T, obj, basis
+
+
+def fitting_lp(A, fs, p):
+    """The l_1 / l_inf fitting LP of ``_lp_fit`` as (c, A_ub, b_ub, start pivots)."""
+    n, d = A.shape
+    E = np.ones((n, 1)) if p.is_infinity else np.eye(n)
+    c = np.concatenate([np.zeros(2 * d), np.ones(E.shape[1])])
+    A_ub = np.block([[A, -A, -E], [-A, A, -E]])
+    b_ub = np.concatenate([fs, -fs])
+    if p.is_infinity:
+        start = ((int(np.argmin(b_ub)), 2 * d),)
+    else:
+        start = tuple((i if fs[i] < 0 else n + i, 2 * d + i) for i in range(n))
+    return c, A_ub, b_ub, start
+
+
 class TestSimplex:
     def test_known_optimum(self):
         # max x+y st x+2y<=4, 3x+y<=6  ->  min -(x+y), optimum at (8/5, 6/5)
-        x, val = solve_lp(
-            np.array([-1.0, -1.0]),
-            np.array([[1.0, 2.0], [3.0, 1.0]]),
-            np.array([4.0, 6.0]),
-        )
-        assert abs(val - (-2.8)) <= 1e-9
-        assert np.allclose(x, [1.6, 1.2], atol=1e-9)
+        c = np.array([-1.0, -1.0])
+        x = solve_lp(*pivoted_start(c, np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0])))
+        assert abs(c @ x[:2] - (-2.8)) <= 1e-9
+        assert np.allclose(x[:2], [1.6, 1.2], atol=1e-9)
 
     def test_negative_rhs_uses_start_pivots(self):
         # min x st -x <= -3, started with x basic in row 0  ->  x = 3
-        x, val = solve_lp(
-            np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]), start=((0, 0),)
-        )
-        assert abs(val - 3.0) <= 1e-9
+        x = solve_lp(*pivoted_start(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]), ((0, 0),)))
+        assert abs(x[0] - 3.0) <= 1e-9
 
     def test_unbounded_detected(self):
         with pytest.raises(SimplexError):
-            solve_lp(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]))
+            solve_lp(*pivoted_start(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0])))
 
     def test_infeasible_detected(self):
         with pytest.raises(SimplexError):
             solve_lp(
-                np.array([0.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
+                *pivoted_start(np.array([0.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
             )
 
     def test_infeasible_start_rejected(self):
         # -x <= -3 and x <= 1: the start x = 3 leaves row 1 at 1 - 3 < 0
         with pytest.raises(SimplexError):
             solve_lp(
-                np.array([1.0]),
-                np.array([[-1.0], [1.0]]),
-                np.array([-3.0, 1.0]),
-                start=((0, 0),),
+                *pivoted_start(
+                    np.array([1.0]), np.array([[-1.0], [1.0]]), np.array([-3.0, 1.0]), ((0, 0),)
+                )
             )
+
+    @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
+    def test_closed_form_start_matches_pivots(self, p, monkeypatch):
+        # _lp_fit writes its start tableau directly. On seeded hat-design LPs
+        # it must equal the slack tableau taken through the start pivots,
+        # value for value, and the solved vertex must match bit for bit.
+        # Integer f gives exact zeros, which pick the tight row, and ties
+        # for the l_inf argmin row; half the cases sit at epoch-sized x.
+        # A -0.0 in f may flip the sign of a zero slack or eps in the l_1
+        # vertex, never a coefficient.
+        seen = []
+
+        def spy(T, obj, basis):
+            seen.append((T.copy(), obj.copy(), basis.copy()))
+            return solve_lp(T, obj, basis)
+
+        monkeypatch.setattr(fixed_knot, "solve_lp", spy)
+        rng = make_rng(63)
+        for case in range(120):
+            n = int(rng.integers(3, 11))
+            k = int(rng.integers(0, min(3, n - 2) + 1))
+            xs = np.cumsum(rng.uniform(0.5, 1.5, n))
+            if case % 2:
+                xs = 60.0 * xs + 1.7e9
+            fs = rng.uniform(-1.0, 1.0, n)
+            if case % 3:
+                fs = rng.integers(-1, 2, n).astype(float)
+            if case % 10 == 9:
+                fs[rng.integers(0, n, 2)] = -0.0
+            knots = sorted(rng.choice(np.arange(1, n - 1), k, replace=False))
+            A = hat_design(xs, xs[[0, *knots, n - 1]])
+            d = A.shape[1]
+
+            seen.clear()
+            beta = fixed_knot._lp_fit(A, fs, p)
+            assert len(seen) == 1
+            c, A_ub, b_ub, start = fitting_lp(A, fs, p)
+            T, obj, basis = pivoted_start(c, A_ub, b_ub, start)
+            T0, obj0, basis0 = seen[0]
+            assert np.array_equal(T0, T) and np.array_equal(basis0, basis)
+            assert np.array_equal(obj0[:-1], obj[:-1])  # obj[-1] is never read
+            if p.is_infinity:
+                assert T0.tobytes() == T.tobytes()
+            x = solve_lp(T, obj, basis)
+            assert beta.tobytes() == (x[:d] - x[d : 2 * d]).tobytes()
+            if np.signbit(fs[fs == 0.0]).any():
+                assert np.array_equal(solve_lp(T0, obj0, basis0), x)
+            else:
+                assert solve_lp(T0, obj0, basis0).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
     def test_chain_fits_match_highs(self, p):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import brokenline.solver
 from brokenline import (
     BrokenLine,
     ChainProblem,
@@ -22,7 +23,7 @@ from brokenline import (
     solve_config,
 )
 from brokenline.norms import residual_norm
-from brokenline.solver import _configs_by_bound, _lower_bound, _p2_line_errors
+from brokenline.solver import _LINE_TABLES, _configs_by_bound, _lower_bound, _p2_line_errors
 
 from conftest import make_rng, planted_instance, random_dataset, smooth_dataset
 
@@ -259,8 +260,9 @@ class TestBestFit:
     def test_stream_matches_enumeration(self):
         # The best-first stream yields exactly the enumerated configurations
         # whose bound is at or below a cut-off, with the same bounds, in
-        # nondecreasing bound order. At p = 2 both sides read the closed-form
-        # line table, which test_p2_line_table_matches_fit_chain checks.
+        # nondecreasing bound order. At p in {1, 2, inf} both sides read the
+        # closed-form line table, which test_p2_line_table_matches_fit_chain
+        # and test_lp_line_tables_match_fit_chain check.
         rng = make_rng(59)
         cases = [(random_dataset(rng, 7), 3), (smooth_dataset(rng, 6), 2)]
         cases += [(planted_instance(rng, 5, 2)[0], 2)]
@@ -268,8 +270,8 @@ class TestBestFit:
             for data, k in cases:
                 fit = functools.cache(lambda chain: fit_chain(data, chain, p))
                 line_error = lambda a, b: fit(ChainProblem(a, b))[1]  # noqa: E731
-                if p.p == 2.0:
-                    table = _p2_line_errors(data.x, data.f)
+                if p.p in _LINE_TABLES:
+                    table = _LINE_TABLES[p.p](data.x, data.f)
                     line_error = lambda a, b: table[a, b]  # noqa: E731
                 ref = {
                     c: _lower_bound(data, c, p, line_error) for c in enumerate_configs(data.mu, k)
@@ -322,6 +324,61 @@ class TestBestFit:
                 bound = _lower_bound(data, cfg, p, lambda a, b: table[a, b])
                 assert bound <= rank * (1.0 + 1e-9) + slack
 
+    @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
+    def test_lp_line_tables_match_fit_chain(self, p, monkeypatch):
+        # The closed-form l_1 and l_inf tables are within 1e-9*max|f| of the
+        # no-knot LP chain fits, at epoch-sized x and tiny f too, and the
+        # bound they feed stays below every configuration's rank. On blocks
+        # of up to 8 points they also match a plain pass over every pair
+        # (l_1: the best line through two points) or every triple (l_inf:
+        # half the middle point's miss from the outer chord). Taking the
+        # pairs a few at a time, as large data does, changes no entry.
+        table_of = _LINE_TABLES[p.p]
+        data = random_dataset(make_rng(61), 9)
+        planted = planted_instance(make_rng(62), 9, 3)[0]
+        cases = [
+            data,
+            DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0),
+            DataSet(data.x, 1e-13 * data.f),
+            planted,
+            DataSet(60.0 * planted.x + 1.7e9, -2.5 * planted.f + 100.0),
+        ]
+        for data in cases:
+            fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+            table = table_of(data.x, data.f)
+            slack = 1e-9 * float(np.max(np.abs(data.f)))
+            n = len(data.x)
+            for a in range(n):
+                for b in range(a + 2, n):
+                    assert abs(table[a, b] - fit(ChainProblem(a, b))[1]) <= slack
+            for cfg in enumerate_configs(data.mu, 3):
+                rank = residual_norm(np.array([fit(c)[1] for c in cfg.chains(data.mu)]), p)
+                bound = _lower_bound(data, cfg, p, lambda a, b: table[a, b])
+                assert bound <= rank * (1.0 + 1e-9) + slack
+            with monkeypatch.context() as patch:
+                patch.setattr(brokenline.solver, "_PAIR_CHUNK", 7)
+                assert np.array_equal(table_of(data.x, data.f), table)
+
+            x, f = data.x.tolist(), data.f.tolist()
+
+            def miss(i, j, m):
+                slope = (f[j] - f[i]) / (x[j] - x[i])
+                return abs(f[m] - (f[i] + slope * (x[m] - x[i])))
+
+            for a in range(n):
+                for b in range(a + 2, min(a + 8, n)):
+                    if p.is_infinity:
+                        ref = max(
+                            miss(i, j, m) / 2.0
+                            for i, m, j in itertools.combinations(range(a, b + 1), 3)
+                        )
+                    else:
+                        ref = min(
+                            sum(miss(i, j, m) for m in range(a, b + 1))
+                            for i, j in itertools.combinations(range(a, b + 1), 2)
+                        )
+                    assert abs(table[a, b] - ref) <= 1e-12 * float(np.max(np.abs(data.f)))
+
     def test_large_p_is_exact(self):
         # Line errors near 434 at p = 200: summing raw p-th powers would
         # overflow to inf, so the stream scales them before summing.
@@ -344,6 +401,15 @@ class TestBestFit:
         result = best_fit(data, 4, PNorm.two())
         assert check_structure(data, result.spline, PNorm.two()).all_pass
         assert result.error <= best_fit(data, 3, PNorm.two()).error
+
+    def test_large_p1_solve(self):
+        # 6965 configurations at mu=60, k=2; the l_1 line table and the
+        # closed-form LP start keep this to about a second.
+        data = random_dataset(make_rng(602), 60)
+        result = best_fit(data, 2, PNorm.one())
+        assert str(result.config) == "d51+g54"
+        assert abs(result.error - 28.111163843569518) <= 1e-12 * 28.111163843569518
+        assert check_structure(data, result.spline, PNorm.one()).all_pass
 
     def test_small_values_keep_the_optimum(self):
         data = random_dataset(make_rng(7), 10)
