@@ -465,11 +465,13 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
 #
 # The oracle evaluates whole batches of knot vectors at once. Its inner
 # solvers are deliberately distinct from the primary path: batched normal
-# equations instead of lstsq for p = 2, and a vectorized Dantzig-rule primal
-# simplex (warm-started by the forced feasibility pivots of the fitting LP,
-# so no auxiliary phase is needed) instead of the Bland tableau for p = 1 and
-# p = inf. Every reported value is the residual norm of an actual polyline,
-# hence always an upper bound on the true minimum.
+# equations instead of lstsq for p = 2, and for p = 1 and p = inf a
+# vectorized Dantzig-rule primal simplex on a condensed tableau instead of
+# Bland's rule on a full one. Its l1 LP is in equality form rather than the
+# primary path's pair rows, and both its LPs are written directly at a
+# feasible vertex, so no auxiliary phase is needed. Every reported value is
+# the residual norm of an actual polyline, hence always an upper bound on the
+# true minimum.
 
 
 def _batched_design(xs: np.ndarray, bps: np.ndarray) -> np.ndarray:
@@ -503,82 +505,79 @@ _ORACLE_MAX_PIVOTS = 200
 def _lp_errors_batch(A: np.ndarray, f: np.ndarray, infinity: bool) -> np.ndarray:
     """Exact min of ||f - A v||_1 (or _inf) per batch entry.
 
-    Vectorized dense primal simplex over the batch: free values split into
-    positive/negative parts, residual bounds eps, and one slack per row. The
-    initial basis pivots eps into the tight row of every constraint pair,
-    which is feasible by construction. Iteration truncation keeps the value
-    achievable (primal feasibility is maintained throughout).
+    Vectorized primal simplex over the batch on a condensed tableau (Tucker's
+    Jordan exchange): only the nonbasic columns and the right-hand side are
+    stored, and the last row holds the reduced costs with minus the value in
+    its right-hand side. Free values are split into positive and negative
+    parts v+ and v-. Each LP is written directly at the feasible vertex v = 0:
+
+    - l1, in equality form A v + u - w = f (Barrodale & Roberts, SIAM J.
+      Numer. Anal. 1973): row i is s_i times the equation, s_i the sign of
+      f_i, with the residual part u_i or w_i that s_i f_i makes nonnegative
+      basic and its twin nonbasic; the objective row is minus the sum of the
+      rows, with 2 in every twin column.
+    - l_inf, on the pair rows +-(f - A v) <= eps: the tightest row r is made
+      eps's row, so r holds minus itself, every other row has row r
+      subtracted, and the objective row is row r; the nonbasic column left
+      is row r's slack.
+
+    Entering columns follow Dantzig's rule. An entry leaves the batch with
+    its current value as soon as no reduced cost is negative or its entering
+    column has no positive entry, and every entry left after
+    _ORACLE_MAX_PIVOTS pivots is read as it stands. Every pivot keeps the
+    vertex primal feasible, so each value is achievable.
     """
     C, n, d = A.shape
-    n_e = 1 if infinity else n
-    m = 2 * n
-    nv = 2 * d + n_e + m
-
-    # Augmented tableau: constraint rows plus the reduced-cost row at index m.
-    T = np.zeros((C, m + 1, nv + 1))
-    T[:, 0:m:2, :d] = A
-    T[:, 0:m:2, d : 2 * d] = -A
-    T[:, 1:m:2, :d] = -A
-    T[:, 1:m:2, d : 2 * d] = A
     if infinity:
-        T[:, :m, 2 * d] = -1.0
-    else:
-        cols = 2 * d + np.arange(n)
-        T[:, 2 * np.arange(n), cols] = -1.0
-        T[:, 2 * np.arange(n) + 1, cols] = -1.0
-    T[:, np.arange(m), 2 * d + n_e + np.arange(m)] = 1.0
-    T[:, 0:m:2, -1] = f
-    T[:, 1:m:2, -1] = -f
-    T[:, m, 2 * d : 2 * d + n_e] = 1.0
-
-    def pivot(rows: np.ndarray, cols: np.ndarray, ok: np.ndarray) -> None:
-        ar = np.arange(T.shape[0])
-        piv = np.where(ok, T[ar, rows, cols], 1.0)
-        pr = T[ar, rows, :] / piv[:, None]
-        colv = T[ar, :, cols]
-        upd = colv[:, :, None] * pr[:, None, :]
-        upd[~ok] = 0.0
-        np.subtract(T, upd, out=T)
-        keep = T[ar, rows, :]
-        T[ar, rows, :] = np.where(ok[:, None], pr, keep)
-
-    # Forced feasibility pivots; the right-hand side is shared by the batch,
-    # so the pivot positions are too.
-    everyone = np.ones(C, dtype=bool)
-    if infinity:
+        m = 2 * n
+        T = np.zeros((C, m + 1, 2 * d + 2))
+        T[:, 0:m:2, :d] = A
+        T[:, 1:m:2, :d] = -A
+        T[:, :m, d : 2 * d] = -T[:, :m, :d]
+        T[:, 0:m:2, -1] = f
+        T[:, 1:m:2, -1] = -f
         r = int(np.argmin(T[0, :m, -1]))
-        pivot(np.full(C, r), np.full(C, 2 * d), everyone)
+        T[:, m] = T[:, r]
+        T[:, :m] -= T[:, m, None, :]
+        T[:, r] = -T[:, m]
+        T[:, :m, 2 * d] = -1.0  # the column of row r's slack
+        T[:, m, 2 * d] = 1.0
     else:
-        for i in range(n):
-            r = 2 * i if f[i] < 0 else 2 * i + 1
-            pivot(np.full(C, r), np.full(C, 2 * d + i), everyone)
+        m = n
+        s = np.where(f < 0, -1.0, 1.0)
+        T = np.empty((C, m + 1, 2 * d + n + 1))
+        T[:, :m, :d] = s[:, None] * A
+        T[:, :m, d : 2 * d] = -T[:, :m, :d]
+        T[:, :m, 2 * d : -1] = -np.eye(n)
+        T[:, :m, -1] = s * f
+        T[:, m] = -T[:, :m].sum(axis=1)
+        T[:, m, 2 * d : -1] = 2.0
 
-    # Iterate on a shrinking active sub-batch; finished combos are archived.
-    values = np.zeros(C)
+    values = np.empty(C)
     alive = np.arange(C)
     for _ in range(_ORACLE_MAX_PIVOTS):
         ar = np.arange(len(alive))
-        red = T[:, m, :nv]
-        j = np.argmin(red, axis=1)  # Dantzig: most negative reduced cost
-        done = red[ar, j] >= -_ORACLE_TOL
-        if done.any():
-            values[alive[done]] = -T[done, m, -1]
-            keep = ~done
-            alive, T, j = alive[keep], T[keep], j[keep]
-            ar = np.arange(len(alive))
-            if len(alive) == 0:
-                break
-        col = T[ar, :m, j]
-        pos = col > _ORACLE_TOL
-        ratios = np.full_like(col, np.inf)
-        np.divide(T[:, :m, -1], col, out=ratios, where=pos)
+        j = np.argmin(T[:, m, :-1], axis=1)  # Dantzig: most negative reduced cost
+        colv = T[ar, :, j]
+        pos = colv[:, :m] > _ORACLE_TOL
+        ratios = np.full(pos.shape, np.inf)
+        np.divide(T[:, :m, -1], colv[:, :m], out=ratios, where=pos)
         l = np.argmin(ratios, axis=1)
-        ok = np.isfinite(ratios[ar, l])
-        if not ok.any():
-            break
-        pivot(np.where(ok, l, 0), np.where(ok, j, nv - 1), ok)
-    if len(alive):
-        values[alive] = -T[:, m, -1]  # truncated: still primal feasible
+        go = (colv[:, m] < -_ORACLE_TOL) & pos.any(axis=1)
+        if not go.all():
+            values[alive[~go]] = -T[~go, m, -1]
+            alive, T, colv, j, l = alive[go], T[go], colv[go], j[go], l[go]
+            ar = ar[: len(alive)]
+            if not len(alive):
+                break
+        piv = colv[ar, l]
+        pr = T[ar, l] / piv[:, None]
+        inv = 1.0 / piv
+        T -= colv[:, :, None] * pr[:, None, :]
+        T[ar, l] = pr
+        T[ar, :, j] = -colv * inv[:, None]
+        T[ar, l, j] = inv
+    values[alive] = -T[:, m, -1]
     return values
 
 
@@ -704,9 +703,8 @@ def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:
         seen: dict[tuple[float, ...], float] = {}
 
         def eval_cached(cands: list[np.ndarray], choices: np.ndarray) -> np.ndarray:
-            keys = [
-                tuple(float(cands[q][c]) for q, c in zip(gaps, row)) for row in choices
-            ]
+            pos = np.stack([cands[q][choices[:, i]] for i, q in enumerate(gaps)], axis=1)
+            keys = list(map(tuple, pos.tolist()))
             fresh = [i for i, key in enumerate(keys) if key not in seen]
             if fresh:
                 errs = _oracle_errors(data, build_bps(pattern, cands, choices[fresh]), p)

@@ -23,7 +23,14 @@ from brokenline import (
     solve_config,
 )
 from brokenline.norms import residual_norm
-from brokenline.solver import _LINE_TABLES, _configs_by_bound, _lower_bound, _p2_line_errors
+from brokenline.solver import (
+    _LINE_TABLES,
+    _batched_design,
+    _configs_by_bound,
+    _lower_bound,
+    _lp_errors_batch,
+    _p2_line_errors,
+)
 
 from conftest import make_rng, planted_instance, random_dataset, smooth_dataset
 
@@ -496,6 +503,49 @@ class TestGridOracle:
         for scale in (1e-9, 1e-13):
             value = grid_oracle(DataSet(data.x, scale * data.f), 1, norm, 4)
             assert abs(value - scale * base) <= 1e-12 * scale * base
+
+    @pytest.mark.parametrize("infinity", [False, True], ids=["p1", "pinf"])
+    def test_lp_batch_matches_highs(self, infinity):
+        # The oracle's batched LPs against an independent solver (HiGHS) on
+        # the textbook pair-row LP. Half the batches sit at epoch-sized x;
+        # integer f gives exact zeros and tied extremes.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = make_rng(64)
+        for case in range(120):
+            n = int(rng.integers(3, 15))
+            xs = np.cumsum(rng.uniform(0.5, 1.5, n))
+            if case % 2:
+                xs = 60.0 * xs + 1.7e9
+            fs = rng.integers(-2, 3, n).astype(float) if case % 3 else rng.uniform(-1.0, 1.0, n)
+            inner = np.sort(rng.uniform(xs[0], xs[-1], (4, int(rng.integers(0, 4)))), axis=1)
+            bps = np.column_stack([np.full(4, xs[0]), inner, np.full(4, xs[-1])])
+            A = _batched_design(xs, bps)
+            values = _lp_errors_batch(A, fs, infinity)
+            d = A.shape[2]
+            E = np.ones((n, 1)) if infinity else np.eye(n)
+            for Ac, value in zip(A, values):
+                res = linprog(
+                    np.concatenate([np.zeros(d), np.ones(E.shape[1])]),
+                    A_ub=np.block([[Ac, -E], [-Ac, -E]]),
+                    b_ub=np.concatenate([fs, -fs]),
+                    bounds=[(None, None)] * d + [(0, None)] * E.shape[1],
+                    method="highs",
+                )
+                assert res.status == 0
+                assert abs(value - res.fun) <= 1e-9 * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()], ids=["p1", "pinf"])
+    def test_kinked_norms_move_with_units(self, p):
+        # x -> alpha*x + beta and f -> gamma*f + delta scale the oracle value
+        # by |gamma|, with epoch-sized offsets, tiny and huge values.
+        maps = [(60.0, 1.7e9, -2.5, 100.0), (1.0, 0.0, 1e-13, 0.0), (1e-6, 3.0, 1e7, -4e7)]
+        for s in range(6):
+            data = random_dataset(make_rng(700 + s), 7)
+            base = grid_oracle(data, 2, p, 4)
+            for alpha, beta, gamma, delta in maps:
+                moved = DataSet(alpha * data.x + beta, gamma * data.f + delta)
+                value = grid_oracle(moved, 2, p, 4)
+                assert abs(value - abs(gamma) * base) <= 1e-6 * abs(gamma) * base
 
     def test_rejects_bad_grid(self):
         data = DataSet([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0])
