@@ -25,7 +25,7 @@ from .solver import (
     grid_oracle,
     solve_config,
 )
-from .structure import CheckStatus, StructureReport, Tolerances, check_structure
+from .structure import CheckStatus, StructureReport, check_structure
 
 __all__ = [
     "BrokenLine",
@@ -44,7 +44,6 @@ __all__ = [
     "PositionKind",
     "RegularizationBounds",
     "StructureReport",
-    "Tolerances",
     "best_fit",
     "check_structure",
     "classify_knots",

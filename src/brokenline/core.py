@@ -222,19 +222,17 @@ def default_slope_tolerance(s: BrokenLine) -> float:
     return 1e-9 * float(np.max(np.abs(s.slopes())))
 
 
-def classify_knots(
-    s: BrokenLine, data: DataSet, tau_slope: float | None = None
-) -> tuple[KnotLabel, ...]:
+def classify_knots(s: BrokenLine, data: DataSet) -> tuple[KnotLabel, ...]:
     """Label every interior breakpoint with properness and its position class.
 
     A knot is proper when the slopes of its two pieces differ by more than
-    ``tau_slope``. Data knots require bit-equality with an abscissa; anything
-    else lies strictly inside some gap (x_q, x_{q+1}).
+    1e-9 * max|slope| (``default_slope_tolerance``). Data knots require
+    bit-equality with an abscissa; anything else lies strictly inside some
+    gap (x_q, x_{q+1}).
     """
     if s.a != data.a or s.b != data.b:
         raise DomainError("spline and data must share the interval [a, b]")
-    if tau_slope is None:
-        tau_slope = default_slope_tolerance(s)
+    tau_slope = default_slope_tolerance(s)
     slopes = s.slopes()
     mu = data.mu
     labels = []
@@ -250,10 +248,8 @@ def classify_knots(
     return tuple(labels)
 
 
-def proper_knot_positions(
-    s: BrokenLine, data: DataSet, tau_slope: float | None = None
-) -> np.ndarray:
-    labels = classify_knots(s, data, tau_slope)
+def proper_knot_positions(s: BrokenLine, data: DataSet) -> np.ndarray:
+    labels = classify_knots(s, data)
     return np.array([lab.position for lab in labels if lab.proper])
 
 

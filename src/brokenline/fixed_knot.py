@@ -79,16 +79,6 @@ def hat_design(xs: np.ndarray, bps: np.ndarray) -> np.ndarray:
     return A
 
 
-def _check_piece_coverage(xs: np.ndarray, bps: np.ndarray, minimum: int) -> None:
-    for i in range(len(bps) - 1):
-        covered = int(np.sum((bps[i] <= xs) & (xs <= bps[i + 1])))
-        if covered < minimum:
-            raise ConfigurationError(
-                f"piece [{bps[i]}, {bps[i+1]}] covers {covered} data abscissae"
-                f" (need >= {minimum})"
-            )
-
-
 _NEWTON_GTOL = 1e-10
 _NEWTON_MAX_ITER = 200
 
@@ -231,7 +221,6 @@ def fit_values(
     xs: np.ndarray, fs: np.ndarray, bps: np.ndarray, p: PNorm
 ) -> tuple[np.ndarray, float]:
     """Optimal breakpoint values of a polyline with fixed breakpoints ``bps``."""
-    _check_piece_coverage(xs, bps, minimum=1)
     A = hat_design(xs, bps)
     values = _fit_coefficients(A, fs, p)
     return values, residual_norm(fs - A @ values, p)
@@ -250,9 +239,8 @@ def fit_chain(data: DataSet, chain: ChainProblem, p: PNorm) -> tuple[BrokenLine,
     xs = data.x[chain.lo : chain.hi + 1]
     fs = data.f[chain.lo : chain.hi + 1]
     bps = data.x[list(chain.breakpoint_indices())]
-    A = hat_design(xs, bps)
-    values = _fit_coefficients(A, fs, p)
-    return BrokenLine(bps, values), residual_norm(fs - A @ values, p)
+    values, err = fit_values(xs, fs, bps, p)
+    return BrokenLine(bps, values), err
 
 
 def fit_fixed_knots(
@@ -269,5 +257,8 @@ def fit_fixed_knots(
     ):
         raise ValueError("knots must be strictly increasing inside (a, b)")
     bps = np.concatenate(([data.a], knots, [data.b]))
+    for lo, hi in zip(bps, bps[1:]):
+        if not np.any((lo <= data.x) & (data.x <= hi)):
+            raise ConfigurationError(f"piece [{lo}, {hi}] covers no data abscissae")
     values, err = fit_values(data.x, data.f, bps, p)
     return BrokenLine(bps, values), err

@@ -667,6 +667,8 @@ def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:
     previous resolution. Refining g along the power-of-four ladder therefore
     only ever lowers the returned value.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if grid_per_gap < 1:
         raise ValueError("grid_per_gap must be >= 1")
     ladder = _grid_ladder(grid_per_gap)

@@ -48,14 +48,6 @@ class PropertyCheck:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Optional overrides; None picks the scale-relative defaults."""
-
-    tau_slope: float | None = None
-    tau_interp: float | None = None
-
-
-@dataclass(frozen=True)
 class StructureReport:
     a: PropertyCheck
     b: PropertyCheck
@@ -88,12 +80,7 @@ def _abscissae_strictly_between(x: np.ndarray, u: float, w: float) -> list[int]:
     return [int(i) for i in np.flatnonzero((u < x) & (x < w))]
 
 
-def check_structure(
-    data: DataSet,
-    s: BrokenLine,
-    p: PNorm,
-    tol: Tolerances | None = None,
-) -> StructureReport:
+def check_structure(data: DataSet, s: BrokenLine, p: PNorm) -> StructureReport:
     """Report which of the eight optimal-structure properties hold for ``s``.
 
     (a) no proper knots in the boundary gaps; (b) abscissae flanking an
@@ -104,12 +91,13 @@ def check_structure(
     interior knot; (g) for p < inf, a single abscissa between an interior
     knot and a neighboring data knot is reproduced exactly; (h) every knot
     strictly inside a gap is proper.
+
+    Both thresholds are relative to the data: a knot is proper when its slope
+    change exceeds 1e-9 * max|slope| (``classify_knots``), and (g) counts an
+    abscissa as reproduced when its residual is at most 1e-8 * max|f|.
     """
-    tol = tol or Tolerances()
-    labels = classify_knots(s, data, tol.tau_slope)
-    tau_interp = tol.tau_interp
-    if tau_interp is None:
-        tau_interp = 1e-8 * float(np.max(np.abs(data.f)))
+    labels = classify_knots(s, data)
+    tau_interp = 1e-8 * float(np.max(np.abs(data.f)))
 
     x = data.x
     mu = data.mu

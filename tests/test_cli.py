@@ -93,8 +93,9 @@ class TestFit:
         code, _, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "0.5")
         assert code == 2
 
-    def test_negative_k_exits_2(self, tent_csv, capsys):
-        code, _, _ = run(capsys, "fit", "--input", tent_csv, "--k", -1, "--p", "2")
+    @pytest.mark.parametrize("command", ["fit", "oracle"])
+    def test_negative_k_exits_2(self, command, tent_csv, capsys):
+        code, _, _ = run(capsys, command, "--input", tent_csv, "--k", -1, "--p", "2")
         assert code == 2
 
     def test_decimal_norm_accepted(self, tent_csv, capsys):
@@ -150,15 +151,19 @@ class TestVerify:
         report = json.loads(out)
         assert report["properties"]["a"]["status"] == "fail"
 
-    def test_domain_mismatch_exits_2(self, tent_csv, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("verify", ("--p", "2")), ("regularize", ())],
+        ids=["verify", "regularize"],
+    )
+    def test_domain_mismatch_exits_2(self, command, extra, tent_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
             json.dumps({"breakpoints": [{"t": 0.0, "v": 0.0}, {"t": 9.0, "v": 0.0}]})
         )
-        code, _, _ = run(
-            capsys, "verify", "--input", tent_csv, "--spline", bad, "--p", "2"
-        )
+        code, _, err = run(capsys, command, "--input", tent_csv, "--spline", bad, *extra)
         assert code == 2
+        assert "interval" in err
 
     def test_invalid_json_exits_2(self, tent_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -551,3 +551,6 @@ class TestGridOracle:
         data = DataSet([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             grid_oracle(data, 1, PNorm.two(), 0)
+        zigzag = DataSet([0, 1, 2, 3, 4, 5], [0, 1, 0, 1, 0, 1])
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            grid_oracle(zigzag, -1, PNorm.two(), 1)
