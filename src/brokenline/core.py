@@ -167,8 +167,7 @@ class KnotLabel:
 
     ``kind`` is DATA when the knot coincides bit-equal with an abscissa x_q
     (then ``q`` is the data index), INTERIOR when x_q < t < x_{q+1} (then ``q``
-    is the gap index). ``in_boundary_region`` flags knots inside the outermost
-    gaps (x_0, x_1) or (x_mu, x_{mu+1}).
+    is the gap index).
     """
 
     index: int
@@ -176,7 +175,6 @@ class KnotLabel:
     proper: bool
     kind: PositionKind
     q: int
-    in_boundary_region: bool
 
 
 @dataclass(frozen=True)
@@ -234,17 +232,13 @@ def classify_knots(s: BrokenLine, data: DataSet) -> tuple[KnotLabel, ...]:
         raise DomainError("spline and data must share the interval [a, b]")
     tau_slope = default_slope_tolerance(s)
     slopes = s.slopes()
-    mu = data.mu
     labels = []
     for j in range(1, len(s.t) - 1):
         t = float(s.t[j])
         proper = abs(slopes[j] - slopes[j - 1]) > tau_slope
         idx = int(np.searchsorted(data.x, t, side="right")) - 1
-        if data.x[idx] == t:
-            kind, q, boundary = PositionKind.DATA, idx, False
-        else:
-            kind, q, boundary = PositionKind.INTERIOR, idx, idx == 0 or idx == mu
-        labels.append(KnotLabel(j, t, proper, kind, q, boundary))
+        kind = PositionKind.DATA if data.x[idx] == t else PositionKind.INTERIOR
+        labels.append(KnotLabel(j, t, proper, kind, idx))
     return tuple(labels)
 
 

@@ -9,11 +9,17 @@ import numpy as np
 from .core import BrokenLine, DataSet, DomainError, PNorm, evaluate_many
 
 
+def pow2_above(values: np.ndarray) -> float:
+    """Least power of two above max|values|, or 1; dividing by it is exact barring underflow."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values), initial=0.0)))[1])
+
+
 def residual_norm(r: np.ndarray, p: PNorm) -> float:
-    """l_p norm of a residual vector, overflow-safe for large finite p.
+    """l_p norm of a residual vector, safe from over- and underflow for p > 1.
 
     For general p the norm is computed in the max-factored form
     ``max|r| * (sum (|r|/max|r|)^p)^(1/p)`` so that huge p never overflows.
+    At p = 2 a sum of squares out of range is taken again on r / ``pow2_above(r)``.
     """
     r = np.asarray(r, dtype=float)
     if p.is_infinity:
@@ -21,7 +27,14 @@ def residual_norm(r: np.ndarray, p: PNorm) -> float:
     if p.p == 1.0:
         return float(np.sum(np.abs(r)))
     if p.p == 2.0:
-        return float(math.sqrt(np.dot(r, r)))
+        # np.vdot, unlike np.dot, raises no floating-point warning, so the
+        # overflow handled below stays silent without a costly np.errstate.
+        squares = float(np.vdot(r, r))
+        if 2.0**-900 <= squares < math.inf:
+            return math.sqrt(squares)
+        scale = pow2_above(r)
+        r = r / scale
+        return scale * math.sqrt(np.dot(r, r))
     top = float(np.max(np.abs(r)))
     if top == 0.0:
         return 0.0

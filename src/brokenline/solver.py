@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import BrokenLine, DataSet, PNorm, classify_knots
 from .fixed_knot import ChainProblem, _newton_fit, fit_chain
-from .norms import error_norm, residual_norm
+from .norms import error_norm, pow2_above, residual_norm
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,11 @@ def _p2_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     and xf over the whole data would cancel catastrophically there. The
     slope is sum(dx*df) / sum(dx*dx) and the error the norm of
     df - slope*dx. Blocks of one or two points get 0, since a line passes
-    through them.
+    through them. x and f are first divided by powers of two, which is
+    exact, so that no sum of squares over- or underflows at extreme scales.
     """
-    n = len(x)
+    n, scale = len(x), pow2_above(f)
+    x, f = x / pow2_above(x), f / scale
     E = np.zeros((n, n))
     for length in range(3, n + 1):
         dx = sliding_window_view(x, length)
@@ -244,7 +246,7 @@ def _p2_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         r = df - slope[:, None] * dx
         a = np.arange(n - length + 1)
         E[a, a + length - 1] = np.sqrt(np.sum(r * r, axis=1))
-    return E
+    return scale * E
 
 
 _PAIR_CHUNK = 1 << 20  # misses a line table holds at once, which bounds its memory
@@ -329,8 +331,8 @@ def _configs_by_bound(
     rounding. A configuration is a path through junction codes (code 0 is
     the left end of the data) whose edges are the blocks of ``_lower_bound``.
     Edge costs are line errors, combined by max for p = inf and otherwise
-    summed as p-th powers; for general p each error is first divided by one
-    power of two above the largest, so large p cannot overflow the sum. A
+    summed as p-th powers; for finite p each error is first divided by one
+    power of two above the largest, so no sum over- or underflows. A
     suffix dynamic program gives every (code, junctions left) state its least
     completion cost, and a heap keyed by prefix cost combined with that
     minimum pops whole configurations cheapest first: lazy k-shortest paths
@@ -367,12 +369,10 @@ def _configs_by_bound(
             if b > a + 1:
                 E[a, b] = line_error(a, b)
 
-    if inf or p.p == 1.0:
+    if inf:
         cost, to_bound = E, float
-    elif p.p == 2.0:
-        cost, to_bound = E * E, math.sqrt
     else:
-        scale = math.ldexp(1.0, math.frexp(float(E.max()))[1])
+        scale = pow2_above(E)
         cost = (E / scale) ** p.p
         to_bound = lambda key: scale * key ** (1.0 / p.p)  # noqa: E731
     vcombine, combine = (np.maximum, max) if inf else (np.add, operator.add)
@@ -489,13 +489,15 @@ def _batched_design(xs: np.ndarray, bps: np.ndarray) -> np.ndarray:
 
 
 def _p2_errors_batch(A: np.ndarray, f: np.ndarray) -> np.ndarray:
+    scale = pow2_above(f)
+    f = f / scale  # exact, and keeps every sum of squares in range
     G = np.einsum("cnd,cne->cde", A, A)
     idx = np.arange(G.shape[1])
     G[:, idx, idx] += 1e-13 * (1.0 + np.trace(G, axis1=1, axis2=2))[:, None]
     b = np.einsum("cnd,n->cd", A, f)
     v = np.linalg.solve(G, b[:, :, None])[:, :, 0]
     r = f[None, :] - np.einsum("cnd,cd->cn", A, v)
-    return np.sqrt(np.sum(r * r, axis=1))
+    return scale * np.sqrt(np.sum(r * r, axis=1))
 
 
 _ORACLE_TOL = 1e-9

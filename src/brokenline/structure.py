@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .core import (
     BrokenLine,
     DataSet,
-    DomainError,
-    KnotLabel,
     PNorm,
     PositionKind,
     classify_knots,
@@ -37,14 +36,6 @@ class CheckStatus(enum.Enum):
 class PropertyCheck:
     status: CheckStatus
     witness: str | None = None
-
-    @classmethod
-    def ok(cls) -> "PropertyCheck":
-        return cls(CheckStatus.PASS)
-
-    @classmethod
-    def fail(cls, witness: str) -> "PropertyCheck":
-        return cls(CheckStatus.FAIL, witness)
 
 
 @dataclass(frozen=True)
@@ -76,8 +67,10 @@ class StructureReport:
         return out
 
 
-def _abscissae_strictly_between(x: np.ndarray, u: float, w: float) -> list[int]:
-    return [int(i) for i in np.flatnonzero((u < x) & (x < w))]
+def _first(witnesses: Iterator[str]) -> PropertyCheck:
+    """FAIL with the first violation's witness, or PASS when there is none."""
+    witness = next(witnesses, None)
+    return PropertyCheck(CheckStatus.PASS if witness is None else CheckStatus.FAIL, witness)
 
 
 def check_structure(data: DataSet, s: BrokenLine, p: PNorm) -> StructureReport:
@@ -90,7 +83,8 @@ def check_structure(data: DataSet, s: BrokenLine, p: PNorm) -> StructureReport:
     bound no other knot; (f) a non-knot abscissa exists on each side of an
     interior knot; (g) for p < inf, a single abscissa between an interior
     knot and a neighboring data knot is reproduced exactly; (h) every knot
-    strictly inside a gap is proper.
+    strictly inside a gap is proper. A failing property reports its first
+    violation in knot order as its witness.
 
     Both thresholds are relative to the data: a knot is proper when its slope
     change exceeds 1e-9 * max|slope| (``classify_knots``), and (g) counts an
@@ -99,124 +93,88 @@ def check_structure(data: DataSet, s: BrokenLine, p: PNorm) -> StructureReport:
     labels = classify_knots(s, data)
     tau_interp = 1e-8 * float(np.max(np.abs(data.f)))
 
-    x = data.x
+    xs = data.x.tolist()
     mu = data.mu
-    proper = [lab for lab in labels if lab.proper]
+    proper = [lab for lab in labels if lab.proper]  # knot order, so by position
     proper_pos = {lab.position for lab in proper}
     interior = [lab for lab in proper if lab.kind is PositionKind.INTERIOR]
+    interior_pos = [lab.position for lab in interior]
+    free = [xv for xv in xs[1 : mu + 1] if xv not in proper_pos]
 
     # (a) boundary regions are knot-free: x_1 <= t <= x_mu for proper knots
-    a_check = PropertyCheck.ok()
-    for lab in proper:
-        if not (x[1] <= lab.position <= x[mu]):
-            a_check = PropertyCheck.fail(
-                f"knot {lab.position!r} outside [x_1, x_mu] = [{x[1]!r}, {x[mu]!r}]"
-            )
-            break
+    a = _first(
+        f"knot {lab.position!r} outside [x_1, x_mu] = [{xs[1]!r}, {xs[mu]!r}]"
+        for lab in proper
+        if not xs[1] <= lab.position <= xs[mu]
+    )
 
     # (b) neighbors of an interior knot are not knots
-    b_check = PropertyCheck.ok()
-    for lab in interior:
-        for side in (lab.q, lab.q + 1):
-            if 0 <= side <= mu + 1 and float(x[side]) in proper_pos:
-                b_check = PropertyCheck.fail(
-                    f"abscissa x_{side} adjoins interior knot {lab.position!r} and is a knot"
-                )
-                break
-        if b_check.status is CheckStatus.FAIL:
-            break
+    b = _first(
+        f"abscissa x_{side} adjoins interior knot {lab.position!r} and is a knot"
+        for lab in interior
+        for side in (lab.q, lab.q + 1)
+        if xs[side] in proper_pos
+    )
 
-    # (c) two non-knot abscissae between any two interior knots
-    c_check = PropertyCheck.ok()
-    for i in range(len(interior)):
-        for j in range(i + 1, len(interior)):
-            u, w = interior[i].position, interior[j].position
-            between = [
-                q for q in _abscissae_strictly_between(x, u, w)
-                if float(x[q]) not in proper_pos
-            ]
-            if len(between) < 2:
-                c_check = PropertyCheck.fail(
-                    f"interior knots {u!r} and {w!r} enclose {len(between)} non-knot abscissae"
-                )
-                break
-        if c_check.status is CheckStatus.FAIL:
-            break
+    # (c) two non-knot abscissae between any two interior knots. The abscissae
+    # between u and a later interior knot include those between u and its
+    # right neighbor, so only neighbors need checking.
+    c = _first(
+        f"interior knots {u!r} and {w!r} enclose {n} non-knot abscissae"
+        for u, w in zip(interior_pos, interior_pos[1:])
+        if (n := sum(u < xv < w and xv not in proper_pos for xv in xs)) < 2
+    )
 
     # (d) on or between neighboring knots lie at least two data abscissae
-    d_check = PropertyCheck.ok()
     seq = [data.a] + sorted(proper_pos) + [data.b]
-    for u, w in zip(seq, seq[1:]):
-        covered = int(np.sum((u <= x) & (x <= w)))
-        if covered < 2:
-            d_check = PropertyCheck.fail(
-                f"knot interval [{u!r}, {w!r}] covers {covered} abscissae"
-            )
-            break
+    d = _first(
+        f"knot interval [{u!r}, {w!r}] covers {n} abscissae"
+        for u, w in zip(seq, seq[1:])
+        if (n := sum(u <= xv <= w for xv in xs)) < 2
+    )
 
     # (e) the gap hosting an interior knot contains no other knot
-    e_check = PropertyCheck.ok()
-    for lab in interior:
-        lo, hi = float(x[lab.q]), float(x[lab.q + 1])
-        others = [
-            pos for pos in proper_pos if lo <= pos <= hi and pos != lab.position
-        ]
-        if others:
-            e_check = PropertyCheck.fail(
-                f"gap [x_{lab.q}, x_{lab.q + 1}] of interior knot {lab.position!r}"
-                f" also holds knot {others[0]!r}"
-            )
-            break
+    e = _first(
+        f"gap [x_{lab.q}, x_{lab.q + 1}] of interior knot {lab.position!r}"
+        f" also holds knot {others[0]!r}"
+        for lab in interior
+        if (others := [
+            t for t in proper_pos if xs[lab.q] <= t <= xs[lab.q + 1] and t != lab.position
+        ])
+    )
 
     # (f) a non-knot abscissa from {x_1..x_mu} on each side of an interior knot
-    f_check = PropertyCheck.ok()
-    inner = [float(xv) for xv in x[1 : mu + 1]]
-    for lab in interior:
-        left = any(xv < lab.position and xv not in proper_pos for xv in inner)
-        right = any(xv > lab.position and xv not in proper_pos for xv in inner)
-        if not (left and right):
-            f_check = PropertyCheck.fail(
-                f"interior knot {lab.position!r} lacks a free abscissa on one side"
-            )
-            break
+    f = _first(
+        f"interior knot {lab.position!r} lacks a free abscissa on one side"
+        for lab in interior
+        if not (free and min(free) < lab.position < max(free))
+    )
 
     # (g) single abscissa between an interior knot and a neighboring data knot
     # is reproduced (p < inf only)
-    if p.is_infinity:
-        g_check = PropertyCheck(CheckStatus.NOT_APPLICABLE)
-    else:
-        g_check = PropertyCheck.ok()
-        by_pos = sorted(proper, key=lambda lab: lab.position)
-        for lab1, lab2 in zip(by_pos, by_pos[1:]):
-            kinds = {lab1.kind, lab2.kind}
-            if kinds != {PositionKind.INTERIOR, PositionKind.DATA}:
+    def g_witnesses() -> Iterator[str]:
+        for lab1, lab2 in zip(proper, proper[1:]):
+            if {lab1.kind, lab2.kind} != {PositionKind.INTERIOR, PositionKind.DATA}:
                 continue
-            between = _abscissae_strictly_between(x, lab1.position, lab2.position)
-            if len(between) >= 2:
-                continue
-            if len(between) == 0:
-                g_check = PropertyCheck.fail(
-                    f"no abscissa between knots {lab1.position!r} and {lab2.position!r}"
-                )
-                break
-            q = between[0]
-            gap = abs(evaluate(s, float(x[q])) - float(data.f[q]))
-            if gap > tau_interp:
-                g_check = PropertyCheck.fail(
-                    f"abscissa x_{q} between knots {lab1.position!r} and"
-                    f" {lab2.position!r} not reproduced (|residual| = {gap:.3e})"
-                )
-                break
+            inside = [q for q, xv in enumerate(xs) if lab1.position < xv < lab2.position]
+            if not inside:
+                yield f"no abscissa between knots {lab1.position!r} and {lab2.position!r}"
+            elif len(inside) == 1:
+                q = inside[0]
+                gap = abs(evaluate(s, xs[q]) - float(data.f[q]))
+                if gap > tau_interp:
+                    yield (
+                        f"abscissa x_{q} between knots {lab1.position!r} and"
+                        f" {lab2.position!r} not reproduced (|residual| = {gap:.3e})"
+                    )
+
+    g = PropertyCheck(CheckStatus.NOT_APPLICABLE) if p.is_infinity else _first(g_witnesses())
 
     # (h) every knot strictly inside a gap is proper
-    h_check = PropertyCheck.ok()
-    for lab in labels:
-        if lab.kind is PositionKind.INTERIOR and not lab.proper:
-            h_check = PropertyCheck.fail(
-                f"improper knot {lab.position!r} strictly inside gap {lab.q}"
-            )
-            break
-
-    return StructureReport(
-        a_check, b_check, c_check, d_check, e_check, f_check, g_check, h_check
+    h = _first(
+        f"improper knot {lab.position!r} strictly inside gap {lab.q}"
+        for lab in labels
+        if lab.kind is PositionKind.INTERIOR and not lab.proper
     )
+
+    return StructureReport(a, b, c, d, e, f, g, h)

@@ -144,7 +144,6 @@ class TestClassifyKnots:
         (lab,) = classify_knots(s, data)
         assert lab.proper
         assert lab.kind is PositionKind.INTERIOR and lab.q == 1
-        assert not lab.in_boundary_region
 
     def test_improper_data_knot(self):
         s = BrokenLine([0.0, 1.0, 3.0], [0.0, 1.0, 3.0])

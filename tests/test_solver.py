@@ -434,6 +434,7 @@ class TestBestFit:
             result = best_fit(DataSet(data.x, scale * data.f), 2, norm)
             assert abs(result.error - scale * base.error) <= 1e-9 * scale * base.error
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p", NORMS + [PNorm.general(1.5), PNorm.general(3.0)])
     def test_error_moves_with_affine_units(self, p):
         # x -> alpha*x + beta and f -> gamma*f + delta scale the optimal error
@@ -445,6 +446,7 @@ class TestBestFit:
         cases += [(random_dataset(rng, 6), 3), (random_dataset(rng, 9), 1)]
         cases += [(smooth_dataset(rng, 6), 3), (random_dataset(rng, 5), 2)]
         maps = [(60.0, 1.7e9, -2.5, 100.0), (1e-6, 3.0, 1e7, -4e7), (2.0, 0.0, 1e-12, 0.0)]
+        maps += [(1.0, 0.0, 1e160, 0.0), (1.0, 0.0, 1e-170, 0.0)]
         for data, k in cases:
             base = best_fit(data, k, p).error
             for alpha, beta, gamma, delta in maps:
@@ -495,12 +497,13 @@ class TestGridOracle:
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-12
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_general_p_scales_with_f(self, p):
         data = random_dataset(make_rng(7), 6)
         norm = PNorm.general(p)
         base = grid_oracle(data, 1, norm, 4)
-        for scale in (1e-9, 1e-13):
+        for scale in (1e-9, 1e-13, 1e160, 1e-170):
             value = grid_oracle(DataSet(data.x, scale * data.f), 1, norm, 4)
             assert abs(value - scale * base) <= 1e-12 * scale * base
 

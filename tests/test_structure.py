@@ -63,6 +63,50 @@ class TestIndividualProperties:
         report = check_structure(data, bad, PNorm.two())
         assert report.g.status is CheckStatus.FAIL
 
+    @pytest.mark.parametrize(
+        "xs, t, v, witnesses",
+        [
+            (
+                range(5), [0, 2, 3.5, 4], [0, 1, -1, 0],
+                {
+                    "a": "knot 3.5 outside [x_1, x_mu] = [1.0, 3.0]",
+                    "d": "knot interval [3.5, 4.0] covers 1 abscissae",
+                    "f": "interior knot 3.5 lacks a free abscissa on one side",
+                    "g": "abscissa x_3 between knots 2.0 and 3.5 not reproduced"
+                    " (|residual| = 3.333e-01)",
+                },
+            ),
+            (
+                range(9), [0, 1.5, 4.5, 5.5, 8], [0, 1, -1, 1, 0],
+                {
+                    "c": "interior knots 4.5 and 5.5 enclose 1 non-knot abscissae",
+                    "d": "knot interval [4.5, 5.5] covers 1 abscissae",
+                },
+            ),
+            (
+                range(6), [0, 2, 2.5, 5], [0, 1, -0.5, 1],
+                {
+                    "b": "abscissa x_2 adjoins interior knot 2.5 and is a knot",
+                    "d": "knot interval [2.0, 2.5] covers 1 abscissae",
+                    "e": "gap [x_2, x_3] of interior knot 2.5 also holds knot 2.0",
+                    "g": "no abscissa between knots 2.0 and 2.5",
+                },
+            ),
+            (range(6), [0, 2.5, 5], [0, 0.5, 1], {"h": "improper knot 2.5 strictly inside gap 2"}),
+        ],
+        ids=["adfg", "c", "bdeg", "h"],
+    )
+    def test_first_violation_witnesses(self, xs, t, v, witnesses):
+        # Each failing property names its first violation in knot order; in
+        # the "c" case only the second pair of neighboring interior knots fails.
+        data = DataSet(list(xs), [0.0] * len(xs))
+        report = check_structure(data, BrokenLine(t, v), PNorm.two())
+        expected = {
+            name: (CheckStatus.FAIL, witnesses[name]) if name in witnesses else (CheckStatus.PASS, None)
+            for name in "abcdefgh"
+        }
+        assert {name: (chk.status, chk.witness) for name, chk in report.items()} == expected
+
     @pytest.mark.parametrize("scale", [1.0, 1e-13])
     def test_g_miss_fails_at_any_scale(self, scale):
         # x_2 = 2 is the one abscissa between the interior knot at 1.5 and the
