@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Write a random test instance as a two-column x,f CSV.
 
-The RNG seed comes from --seed or the BROKENLINE_SEED environment variable.
+The RNG seed comes from --seed (default 0).
 Kinds: 'noise' (uniform values), 'smooth' (sampled trig signal), 'planted'
 (sampled exactly from a polyline with --k proper knots, so the optimal error
 is zero).
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -26,12 +25,11 @@ def main() -> int:
     parser.add_argument("--mu", type=int, default=10, help="number of inner abscissae")
     parser.add_argument("--k", type=int, default=2, help="knots for the planted kind")
     parser.add_argument("--kind", choices=["noise", "smooth", "planted"], default="smooth")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
     args = parser.parse_args()
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("BROKENLINE_SEED", "0"))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     xs = random_abscissae(rng, args.mu)
 
     if args.kind == "noise":

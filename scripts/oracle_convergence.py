@@ -8,7 +8,6 @@ The gaps must stay nonnegative (dominance), shrink along the ladder
 """
 
 import argparse
-import os
 import time
 
 import numpy as np
@@ -35,11 +34,10 @@ def main() -> int:
     parser.add_argument("--k-max", type=int, default=3)
     parser.add_argument("--amplitude", type=float, default=1.0)
     parser.add_argument("--grids", type=int, nargs="+", default=[1, 4, 16, 64])
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     args = parser.parse_args()
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("BROKENLINE_SEED", "0"))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     norms = list(NORMS.items())
 
     header = f"{'inst':>4} {'mu':>3} {'k':>2} {'p':>4} {'best':>12}"

@@ -24,9 +24,9 @@ import heapq
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -502,6 +502,8 @@ def _p2_errors_batch(A: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 _ORACLE_TOL = 1e-9
 _ORACLE_MAX_PIVOTS = 200
+_T = TypeVar("_T")
+_Asks = Generator[np.ndarray, np.ndarray, _T]  # yields breakpoint batches, is sent their errors
 
 
 def _lp_errors_batch(A: np.ndarray, f: np.ndarray, infinity: bool) -> np.ndarray:
@@ -586,8 +588,8 @@ def _lp_errors_batch(A: np.ndarray, f: np.ndarray, infinity: bool) -> np.ndarray
 def _oracle_errors(data: DataSet, bps_batch: np.ndarray, p: PNorm) -> np.ndarray:
     """Best fixed-breakpoint errors for a batch of breakpoint vectors."""
     out = np.empty(len(bps_batch))
-    for start in range(0, len(bps_batch), 2048):
-        chunk = bps_batch[start : start + 2048]
+    for start in range(0, len(bps_batch), 512):
+        chunk = bps_batch[start : start + 512]
         A = _batched_design(data.x, chunk)
         if p.p == 2.0:
             out[start : start + len(chunk)] = _p2_errors_batch(A, data.f)
@@ -662,12 +664,14 @@ def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:
     equispaced points inside every gap (plus their power-of-four coarsenings,
     which keeps the candidate sets nested along g in 1, 4, 16, 64, ...); all
     strictly increasing selections of size <= k whose pieces each cover two
-    data abscissae are fitted. Patterns whose grid product stays within the
-    exhaustive budget are evaluated outright in width-matched batches; the
-    rest are searched coarse-to-fine, exhaustively while affordable and then
-    by deterministic coordinate descent seeded with the best choice of the
+    data abscissae are fitted. Each slot pattern is searched coarse-to-fine,
+    exhaustively while its grid product stays within the budget and then by
+    deterministic coordinate descent seeded with the best choices of the
     previous resolution. Refining g along the power-of-four ladder therefore
-    only ever lowers the returned value.
+    only ever lowers the returned value. The searches run side by side as
+    generators: each round, one driver sends all their fresh breakpoint
+    vectors of one width to the batched solvers in one call, and hands each
+    search its slice of the errors.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -696,34 +700,33 @@ def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:
         return bps
 
     def all_choices(sizes: list[int]) -> np.ndarray:
-        if not sizes:
-            return np.empty((1, 0), dtype=int)
-        grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return np.array(list(itertools.product(*map(range, sizes))), dtype=int)
 
-    def pattern_best(pattern: tuple[Junction, ...]) -> float:
-        """Ladder search for one pattern too large to scan exhaustively."""
+    def pattern_best(pattern: tuple[Junction, ...]) -> _Asks[float]:
+        """Ladder search for one pattern, asking for the errors of fresh breakpoint vectors."""
         gaps = [j.q for j in pattern if j.kind == "gap"]
         seen: dict[tuple[float, ...], float] = {}
 
-        def eval_cached(cands: list[np.ndarray], choices: np.ndarray) -> np.ndarray:
-            pos = np.stack([cands[q][choices[:, i]] for i, q in enumerate(gaps)], axis=1)
-            keys = list(map(tuple, pos.tolist()))
+        def eval_cached(cands: list[np.ndarray], choices: np.ndarray) -> _Asks[np.ndarray]:
+            bps = build_bps(pattern, cands, choices)
+            keys = list(map(tuple, bps.tolist()))
             fresh = [i for i, key in enumerate(keys) if key not in seen]
             if fresh:
-                errs = _oracle_errors(data, build_bps(pattern, cands, choices[fresh]), p)
+                errs = yield bps[fresh]
                 for i, e in zip(fresh, errs):
                     seen[keys[i]] = float(e)
             return np.array([seen[key] for key in keys])
 
-        def descend(cands: list[np.ndarray], sizes: list[int], choice: np.ndarray) -> tuple[np.ndarray, float]:
-            value = float(eval_cached(cands, choice[None, :])[0])
+        def descend(
+            cands: list[np.ndarray], sizes: list[int], choice: np.ndarray
+        ) -> _Asks[tuple[np.ndarray, float]]:
+            value = float((yield from eval_cached(cands, choice[None, :]))[0])
             for _ in range(12):
                 moved = False
                 for slot in range(len(sizes)):
                     scan = np.tile(choice, (sizes[slot], 1))
                     scan[:, slot] = np.arange(sizes[slot])
-                    errs = eval_cached(cands, scan)
+                    errs = yield from eval_cached(cands, scan)
                     idx = int(np.argmin(errs))
                     if errs[idx] < value:
                         choice, value, moved = scan[idx], float(errs[idx]), True
@@ -731,23 +734,23 @@ def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:
                     break
             return choice, value
 
-        # Start at the finest resolution that is still exhaustively affordable;
-        # each finer level runs coordinate descent from a handful of seeds
-        # carried up from the level below, so refining the ladder can only
-        # improve the value. The descent landscape of the kinkier norms has
-        # local minima, hence the multi-seeding.
+        # Start at the finest resolution that is still exhaustively affordable
+        # (for most patterns the top one, so the search is one batch); each
+        # finer level runs coordinate descent from a handful of seeds carried
+        # up from the level below, so refining the ladder can only improve the
+        # value. The kinkier norms' descent landscape has local minima, hence
+        # the multi-seeding.
         start = 0
         for i, lvl in enumerate(ladder):
             if int(np.prod([len(cands_at[lvl][q]) for q in gaps])) <= exhaustive_cap:
                 start = i
-        value = np.inf
         seeds_pos: list[np.ndarray] | None = None
         for lvl in ladder[start:]:
             cands = cands_at[lvl]
             sizes = [len(cands[q]) for q in gaps]
             if int(np.prod(sizes)) <= exhaustive_cap:
                 choices = all_choices(sizes)
-                errs = eval_cached(cands, choices)
+                errs = yield from eval_cached(cands, choices)
                 order = np.argsort(errs, kind="stable")[:3]
                 value = float(errs[order[0]])
                 picked = [choices[idx] for idx in order]
@@ -756,38 +759,35 @@ def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:
                     seed_choices = [np.array([s // 2 for s in sizes])]
                 else:
                     seed_choices = [
-                        np.array(
-                            [int(np.searchsorted(cands[q], pos)) for q, pos in zip(gaps, seed)]
-                        )
+                        np.array([int(np.searchsorted(cands[q], pos)) for q, pos in zip(gaps, seed)])
                         for seed in seeds_pos
                     ]
                 value = np.inf
                 picked = []
                 for seed in seed_choices:
-                    choice, val = descend(cands, sizes, seed)
+                    choice, val = yield from descend(cands, sizes, seed)
                     picked.append(choice)
                     value = min(value, val)
-            seeds_pos = [
-                np.array([cands[q][c] for q, c in zip(gaps, choice)]) for choice in picked
-            ]
+            seeds_pos = [np.array([cands[q][c] for q, c in zip(gaps, choice)]) for choice in picked]
         return value
 
-    top = cands_at[ladder[-1]]
-    grouped: dict[int, list[np.ndarray]] = {}
-    hard: list[tuple[Junction, ...]] = []
-    for pattern in _oracle_patterns(data.mu, k):
-        sizes = [len(top[j.q]) for j in pattern if j.kind == "gap"]
-        if int(np.prod(sizes)) <= exhaustive_cap:
-            grouped.setdefault(len(pattern), []).append(
-                build_bps(pattern, top, all_choices(sizes))
-            )
-        else:
-            hard.append(pattern)
-
+    # Each round, every live search's request of one breakpoint width goes to
+    # _oracle_errors in one batch. An entry's value does not depend on its
+    # batch mates, so each search takes the path it would take alone.
     best = np.inf
-    for blocks in grouped.values():
-        stacked = np.concatenate(blocks, axis=0)
-        best = min(best, float(_oracle_errors(data, stacked, p).min()))
-    for pattern in hard:
-        best = min(best, pattern_best(pattern))
+    pending = [(pattern_best(pattern), None) for pattern in _oracle_patterns(data.mu, k)]
+    while pending:
+        by_width: dict[int, list[tuple[_Asks[float], np.ndarray]]] = {}
+        for search, reply in pending:
+            try:
+                bps = search.send(reply)
+            except StopIteration as done:
+                best = min(best, done.value)
+                continue
+            by_width.setdefault(bps.shape[1], []).append((search, bps))
+        pending = []
+        for asks in by_width.values():
+            errs = _oracle_errors(data, np.concatenate([bps for _, bps in asks]), p)
+            ends = np.cumsum([len(bps) for _, bps in asks])
+            pending += [(search, errs[e - len(bps) : e]) for (search, bps), e in zip(asks, ends)]
     return float(best)

@@ -29,6 +29,7 @@ from brokenline.solver import (
     _configs_by_bound,
     _lower_bound,
     _lp_errors_batch,
+    _oracle_errors,
     _p2_line_errors,
 )
 
@@ -42,6 +43,15 @@ NORMS = [PNorm.one(), PNorm.two(), PNorm.infinity()]
 W_GOLDEN = 0.8944271909999157
 CONFIG_COUNT_GOLDEN_MU9_K2 = 131
 STEP_GOLDEN = 0.408248290463863  # sqrt(1/6)
+# - grid_oracle on smooth_dataset(default_rng(1500 + i), mu), as it stood when
+#   each pattern was searched alone: (mu, k, p, g, value)
+ORACLE_GOLDEN = [
+    (8, 2, PNorm.one(), 16, 0.37447619108472235),
+    (8, 2, PNorm.two(), 16, 0.20350670745612784),
+    (8, 2, PNorm.infinity(), 16, 0.03463362387766185),
+    (9, 3, PNorm.infinity(), 16, 0.027399716005283372),
+    (8, 2, PNorm.general(1.5), 4, 0.07503884568163599),
+]
 
 
 def naive_configs(mu: int, k: int) -> set[tuple[tuple[str, int], ...]]:
@@ -496,6 +506,30 @@ class TestGridOracle:
             values = [grid_oracle(data, 2, p, g) for g in (1, 4, 16)]
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-12
+
+    @pytest.mark.parametrize("i", range(len(ORACLE_GOLDEN)))
+    def test_frozen_values(self, i):
+        # At g=16 the k=2 searches descend; the k=3 one's rounds mix widths.
+        mu, k, p, g, value = ORACLE_GOLDEN[i]
+        data = smooth_dataset(np.random.default_rng(1500 + i), mu)
+        assert grid_oracle(data, k, p, g) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", NORMS + [PNorm.general(1.5)], ids=["p1", "p2", "pinf", "p1.5"])
+    def test_errors_do_not_depend_on_batch_mates(self, p):
+        # grid_oracle batches all its pattern searches' requests together,
+        # which leaves every search's path as it would be alone only because
+        # each entry's value is, bit for bit, the same whatever its batch.
+        rng = np.random.default_rng(1400)
+        for case in range(12):
+            data = random_dataset(rng, int(rng.integers(3, 10)))
+            if case == 11:
+                data = DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0)
+            inner = np.sort(rng.uniform(data.a, data.b, (40, case % 4)), axis=1)
+            bps = np.column_stack([np.full(40, data.a), inner, np.full(40, data.b)])
+            batch = _oracle_errors(data, bps, p)
+            alone = np.concatenate([_oracle_errors(data, row[None, :], p) for row in bps])
+            reverse = _oracle_errors(data, bps[::-1], p)[::-1]
+            assert batch.tobytes() == alone.tobytes() == reverse.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
