@@ -33,18 +33,9 @@ class DataSet:
     f: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _frozen_array(self.x))
-        object.__setattr__(self, "f", _frozen_array(self.f))
-        if self.x.ndim != 1 or self.f.ndim != 1:
-            raise ValueError("abscissae and values must be one-dimensional")
-        if len(self.x) != len(self.f):
-            raise ValueError("abscissae and values must have the same length")
-        if len(self.x) < 2:
-            raise ValueError("need at least two data points")
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.f)):
-            raise ValueError("data must be finite")
-        if not np.all(np.diff(self.x) > 0):
-            raise ValueError("abscissae must be strictly increasing")
+        points = BrokenLine(self.x, self.f)  # BrokenLine owns the point-set rules
+        object.__setattr__(self, "x", points.t)
+        object.__setattr__(self, "f", points.v)
 
     @property
     def a(self) -> float:
@@ -79,13 +70,13 @@ class BrokenLine:
         object.__setattr__(self, "t", _frozen_array(self.t))
         object.__setattr__(self, "v", _frozen_array(self.v))
         if self.t.ndim != 1 or self.v.ndim != 1 or len(self.t) != len(self.v):
-            raise ValueError("breakpoints must be parallel 1-d sequences")
+            raise ValueError("abscissae and values must be parallel 1-d sequences")
         if len(self.t) < 2:
-            raise ValueError("need at least two breakpoints")
+            raise ValueError("need at least two points")
         if not np.all(np.isfinite(self.t)) or not np.all(np.isfinite(self.v)):
-            raise ValueError("breakpoints must be finite")
+            raise ValueError("abscissae and values must be finite")
         if not np.all(np.diff(self.t) > 0):
-            raise ValueError("breakpoint abscissae must be strictly increasing")
+            raise ValueError("abscissae must be strictly increasing")
 
     @property
     def a(self) -> float:
@@ -215,6 +206,17 @@ def evaluate_many(s: BrokenLine, xs: Sequence[float]) -> np.ndarray:
     return vals
 
 
+def check_domain(s: BrokenLine, data: DataSet) -> None:
+    """Raise DomainError unless the spline and the data share the interval [a, b]."""
+    if s.a != data.a or s.b != data.b:
+        raise DomainError("spline and data must share the interval [a, b]")
+
+
+def coincident(a: float, b: float) -> bool:
+    """Equal up to rounding: |a - b| <= 1e-12 * (|a| + |b|)."""
+    return abs(a - b) <= 1e-12 * (abs(a) + abs(b))
+
+
 def default_slope_tolerance(s: BrokenLine) -> float:
     """Relative properness threshold: 1e-9 * max piece slope magnitude."""
     return 1e-9 * float(np.max(np.abs(s.slopes())))
@@ -228,8 +230,7 @@ def classify_knots(s: BrokenLine, data: DataSet) -> tuple[KnotLabel, ...]:
     bit-equality with an abscissa; anything else lies strictly inside some
     gap (x_q, x_{q+1}).
     """
-    if s.a != data.a or s.b != data.b:
-        raise DomainError("spline and data must share the interval [a, b]")
+    check_domain(s, data)
     tau_slope = default_slope_tolerance(s)
     slopes = s.slopes()
     labels = []

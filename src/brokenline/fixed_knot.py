@@ -53,11 +53,9 @@ class ChainProblem:
     knot_indices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.hi <= self.lo:
-            raise ValueError("chain block must contain at least two points")
         idx = (self.lo, *self.knot_indices, self.hi)
         if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("knot indices must be strictly increasing inside the block")
+            raise ValueError(f"chain indices (lo, *knots, hi) = {idx} must be strictly increasing")
 
     def breakpoint_indices(self) -> tuple[int, ...]:
         return (self.lo, *self.knot_indices, self.hi)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import BrokenLine, DataSet, DomainError, PNorm, evaluate_many
+from .core import BrokenLine, DataSet, PNorm, check_domain, evaluate_many
 
 
 def pow2_above(values: np.ndarray) -> float:
@@ -44,6 +44,5 @@ def residual_norm(r: np.ndarray, p: PNorm) -> float:
 
 def error_norm(data: DataSet, s: BrokenLine, p: PNorm) -> float:
     """Approximation error ||f - s(X)||_p of a polyline against the data."""
-    if s.a != data.a or s.b != data.b:
-        raise DomainError("spline and data must share the interval [a, b]")
+    check_domain(s, data)
     return residual_norm(data.f - evaluate_many(s, data.x), p)

@@ -21,8 +21,9 @@ import numpy as np
 from .core import (
     BrokenLine,
     DataSet,
-    DomainError,
     RegularizationBounds,
+    check_domain,
+    coincident,
     default_slope_tolerance,
     evaluate_many,
 )
@@ -35,8 +36,7 @@ def divided_difference_bound(data: DataSet, s: BrokenLine) -> RegularizationBoun
     m_prime the largest sampled magnitude, m_fourth = m_prime + (b-a)*m_second,
     and m = max(m_second, m_fourth).
     """
-    if s.a != data.a or s.b != data.b:
-        raise DomainError("spline and data must share the interval [a, b]")
+    check_domain(s, data)
     vals = evaluate_many(s, data.x)
     m_prime = float(np.max(np.abs(vals)))
     m_second = float(np.max(np.abs(np.diff(vals) / np.diff(data.x))))
@@ -132,10 +132,6 @@ class _Chord:
         return self.y0 + (x - self.x0) * self.slope
 
 
-def _coincident(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-12 * (abs(a) + abs(b))
-
-
 def _first_crossing_down(
     pl: _Polyline, line: _Chord, start: float, stop: float
 ) -> tuple[float, float]:
@@ -218,7 +214,7 @@ def _iron_one_knot_below(pl: _Polyline, X: np.ndarray, q: int, t: float, tau: fl
         t2 = right_knots[0]
         phi = _Chord(x_q, pl.value(x_q), pl.slope_right_of(x_q))
         phi_next = phi(x_next)
-        if _coincident(s_next, phi_next):
+        if coincident(s_next, phi_next):
             return  # straight through the next gap; the lone knot sits on x_{q+1}
         if s_next < phi_next:
             psi = _Chord.through(x_q, pl.value(x_q), x_next, s_next)
@@ -268,7 +264,7 @@ def _iron_gap(pl: _Polyline, X: np.ndarray, q: int, tau: float) -> None:
         return
     sigma = _Chord.through(x_prev, pl.value(x_prev), x_q, pl.value(x_q))
     s_t = pl.value(t)
-    if _coincident(s_t, sigma(t)):
+    if coincident(s_t, sigma(t)):
         _chord_replace(pl, x_prev, x_q)  # knot sits on the chord: merge it away
         return
     if s_t < sigma(t):
@@ -310,8 +306,7 @@ def regularize(data: DataSet, s: BrokenLine) -> BrokenLine:
     |slope| <= m_second and |value| <= m_fourth from
     :func:`divided_difference_bound`.
     """
-    if s.a != data.a or s.b != data.b:
-        raise DomainError("spline and data must share the interval [a, b]")
+    check_domain(s, data)
     tau = default_slope_tolerance(s)
     pl = _Polyline(
         list(map(float, s.t)), list(map(float, s.v)), tuple(map(float, data.x))

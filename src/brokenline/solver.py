@@ -31,7 +31,7 @@ from typing import Literal, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BrokenLine, DataSet, PNorm, classify_knots
+from .core import BrokenLine, DataSet, PNorm, classify_knots, coincident
 from .fixed_knot import ChainProblem, _newton_fit, fit_chain
 from .norms import error_norm, pow2_above, residual_norm
 
@@ -42,6 +42,10 @@ class Junction:
 
     kind: Literal["data", "gap"]
     q: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("data", "gap"):
+            raise ValueError(f"unknown junction kind {self.kind!r}")
 
     @property
     def code(self) -> int:
@@ -62,21 +66,8 @@ class KnotConfig:
         return (len(self.junctions), tuple(j.code for j in self.junctions))
 
     def validate(self, mu: int) -> None:
-        codes = [j.code for j in self.junctions]
-        if any(b <= a for a, b in zip(codes, codes[1:])):
-            raise ValueError("junction positions must be strictly increasing")
-        start = 0
-        for j in self.junctions:
-            top = {"data": mu, "gap": mu - 1}.get(j.kind)
-            if top is None:
-                raise ValueError(f"unknown junction kind {j.kind!r}")
-            if not (1 <= j.q <= top):
-                raise ValueError(f"{j.kind} junction q={j.q} outside 1..{top}")
-            if j.q - start + 1 < 2:
-                raise ValueError(f"piece before junction {j} covers <2 abscissae")
-            start = j.q if j.kind == "data" else j.q + 1
-        if (mu + 1) - start + 1 < 2:
-            raise ValueError("final piece covers <2 abscissae")
+        """Raise ValueError unless every chain on mu inner abscissae is a valid ChainProblem."""
+        self.chains(mu)
 
     def chains(self, mu: int) -> list[ChainProblem]:
         """Maximal runs of pieces coupled by continuity at data knots."""
@@ -159,7 +150,6 @@ def solve_config(
     Identical flanking lines mean the junction is improper and the merged
     configuration (enumerated separately) covers it.
     """
-    config.validate(data.mu)
     fit = _fit or (lambda chain: fit_chain(data, chain, p))
     fits = [fit(chain)[0] for chain in config.chains(data.mu)]
     gaps = [j.q for j in config.junctions if j.kind == "gap"]
@@ -175,8 +165,8 @@ def solve_config(
         mid = 0.5 * (lo + hi)
         vl = left.v[-1] + (mid - left.t[-1]) * ml
         vr = right.v[0] + (mid - right.t[0]) * mr
-        if abs(ml - mr) <= 1e-12 * (abs(ml) + abs(mr)):
-            if abs(vl - vr) <= 1e-12 * (abs(vl) + abs(vr)):
+        if coincident(ml, mr):
+            if coincident(vl, vr):
                 return Infeasible(config, "improper")
             return Infeasible(config, "parallel")
         xi = (vr - vl) / (ml - mr) + mid

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -13,6 +15,15 @@ TENT_CSV = "x,f\n0,0\n1,1\n3,1\n4,0\n"
 def tent_csv(tmp_path):
     path = tmp_path / "tent.csv"
     path.write_text(TENT_CSV)
+    return path
+
+
+@pytest.fixture
+def boundary_knot_json(tmp_path):
+    """A spline on the tent's [0, 4] with a knot in the boundary gap (0, 1)."""
+    path = tmp_path / "bad.json"
+    bps = [{"t": 0.0, "v": 0.0}, {"t": 0.5, "v": 2.0}, {"t": 4.0, "v": 0.0}]
+    path.write_text(json.dumps({"breakpoints": bps}))
     return path
 
 
@@ -90,8 +101,22 @@ class TestFit:
         assert code == 2
 
     def test_bad_norm_exits_2(self, tent_csv, capsys):
-        code, _, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "0.5")
+        code, _, err = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "0.5")
         assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["abc", "nan", "-inf"])
+    def test_unparsable_norm_exits_2(self, text, tent_csv, capsys):
+        # "--p=" hands "-inf" to the norm parser instead of argparse's option lookup.
+        code, _, err = run(capsys, "fit", "--input", tent_csv, "--k", 1, f"--p={text}")
+        assert code == 2
+        assert err.startswith("error: bad norm")
+
+    @pytest.mark.parametrize("text", ["inf", "Infinity"])
+    def test_infinite_norm_accepted(self, text, tent_csv, capsys):
+        code, out, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", text)
+        assert code == 0
+        assert json.loads(out)["p"] == "inf"
 
     @pytest.mark.parametrize("command", ["fit", "oracle"])
     def test_negative_k_exits_2(self, command, tent_csv, capsys):
@@ -131,25 +156,27 @@ class TestVerify:
         report = json.loads(out)
         assert report["all_pass"] is True
 
-    def test_boundary_knot_exits_3(self, tent_csv, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "breakpoints": [
-                        {"t": 0.0, "v": 0.0},
-                        {"t": 0.5, "v": 2.0},
-                        {"t": 4.0, "v": 0.0},
-                    ]
-                }
-            )
-        )
+    def test_boundary_knot_exits_3(self, tent_csv, boundary_knot_json, capsys):
         code, out, _ = run(
-            capsys, "verify", "--input", tent_csv, "--spline", bad, "--p", "2"
+            capsys, "verify", "--input", tent_csv, "--spline", boundary_knot_json, "--p", "2"
         )
         assert code == 3
         report = json.loads(out)
         assert report["properties"]["a"]["status"] == "fail"
+
+    def test_csv_matches_json(self, tent_csv, boundary_knot_json, capsys):
+        args = ("verify", "--input", tent_csv, "--spline", boundary_knot_json, "--p", "2")
+        _, out_json, _ = run(capsys, *args)
+        code, out_csv, _ = run(capsys, *args, "--format", "csv")
+        assert code == 3
+        rows = list(csv.reader(io.StringIO(out_csv)))
+        assert rows[0] == ["property", "status", "witness"]
+        assert any("," in witness for _, _, witness in rows[1:])
+        from_csv = {
+            name: {"status": status, **({"witness": witness} if witness else {})}
+            for name, status, witness in rows[1:]
+        }
+        assert from_csv == json.loads(out_json)["properties"]
 
     @pytest.mark.parametrize(
         "command, extra",
@@ -188,6 +215,19 @@ class TestRegularizeCommand:
         for bp in obj["breakpoints"]:
             assert abs(bp["v"] - 1.0) <= 1e-12
 
+    def test_csv_matches_json(self, tmp_path, capsys):
+        data_csv, spline_json = tmp_path / "data.csv", tmp_path / "spike.json"
+        run(capsys, "fixture", "spike", "--i", 10, "--out", spline_json,
+            "--data-out", data_csv)
+        args = ("regularize", "--input", data_csv, "--spline", spline_json)
+        _, out_json, _ = run(capsys, *args)
+        code, out_csv, _ = run(capsys, *args, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out_csv)))
+        assert rows[0] == ["t", "v"]
+        expected = [[bp["t"], bp["v"]] for bp in json.loads(out_json)["breakpoints"]]
+        assert [[float(t), float(v)] for t, v in rows[1:]] == expected
+
 
 class TestOracleCommand:
     def test_oracle_dominates_fit(self, tent_csv, capsys):
@@ -197,6 +237,19 @@ class TestOracleCommand:
         )
         assert code == 0 and code2 == 0
         assert json.loads(oracle_out)["error"] >= json.loads(fit_out)["error"] - 1e-10
+
+    def test_csv_matches_json(self, tmp_path, capsys):
+        path = tmp_path / "zigzag.csv"
+        path.write_text("x,f\n0,0\n1,2\n2,1\n3,3\n4,0\n5,1\n")
+        args = ("oracle", "--input", path, "--k", 1, "--p", "1.5", "--grid", 4)
+        _, out_json, _ = run(capsys, *args)
+        code, out_csv, _ = run(capsys, *args, "--format", "csv")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out_csv))
+        obj = json.loads(out_json)
+        assert obj["error"] > 0.0
+        assert float(row["error"]) == obj["error"] and row["p"] == obj["p"] == "1.5"
+        assert int(row["k"]) == obj["k"] and int(row["grid_per_gap"]) == obj["grid_per_gap"]
 
 
 class TestFixtureCommand:

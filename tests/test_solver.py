@@ -106,6 +106,23 @@ class TestEnumerateConfigs:
         for c in enumerate_configs(8, 3):
             c.validate(8)
 
+    @pytest.mark.parametrize("mu", range(1, 7))
+    def test_validate_accepts_exactly_the_naive_configs(self, mu):
+        slots = [Junction(kind, q) for kind in ("data", "gap") for q in range(-2, mu + 3)]
+        valid = naive_configs(mu, 3)
+        for r in range(4):
+            for seq in itertools.product(slots, repeat=r):
+                try:
+                    KnotConfig(seq).validate(mu)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (tuple((j.kind, j.q) for j in seq) in valid), seq
+
+    def test_unknown_junction_kind(self):
+        with pytest.raises(ValueError, match="unknown junction kind"):
+            Junction("foo", 1)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             enumerate_configs(0, 1)
