@@ -15,7 +15,7 @@ class DomainError(ValueError):
 
 
 def _frozen_array(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)  # a copy: the caller's array stays writable
     arr.setflags(write=False)
     return arr
 
@@ -222,6 +222,11 @@ def default_slope_tolerance(s: BrokenLine) -> float:
     return 1e-9 * float(np.max(np.abs(s.slopes())))
 
 
+def proper_mask(s: BrokenLine, tau: float) -> np.ndarray:
+    """True at each interior breakpoint whose slope change exceeds ``tau``."""
+    return np.abs(np.diff(s.slopes())) > tau
+
+
 def classify_knots(s: BrokenLine, data: DataSet) -> tuple[KnotLabel, ...]:
     """Label every interior breakpoint with properness and its position class.
 
@@ -231,15 +236,13 @@ def classify_knots(s: BrokenLine, data: DataSet) -> tuple[KnotLabel, ...]:
     gap (x_q, x_{q+1}).
     """
     check_domain(s, data)
-    tau_slope = default_slope_tolerance(s)
-    slopes = s.slopes()
+    proper = proper_mask(s, default_slope_tolerance(s))
     labels = []
     for j in range(1, len(s.t) - 1):
         t = float(s.t[j])
-        proper = abs(slopes[j] - slopes[j - 1]) > tau_slope
         idx = int(np.searchsorted(data.x, t, side="right")) - 1
         kind = PositionKind.DATA if data.x[idx] == t else PositionKind.INTERIOR
-        labels.append(KnotLabel(j, t, proper, kind, idx))
+        labels.append(KnotLabel(j, t, proper[j - 1], kind, idx))
     return tuple(labels)
 
 

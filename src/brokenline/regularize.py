@@ -26,6 +26,7 @@ from .core import (
     coincident,
     default_slope_tolerance,
     evaluate_many,
+    proper_mask,
 )
 
 
@@ -44,76 +45,35 @@ def divided_difference_bound(data: DataSet, s: BrokenLine) -> RegularizationBoun
     return RegularizationBounds(m_prime, m_second, m_fourth, max(m_second, m_fourth))
 
 
-@dataclass
-class _Polyline:
-    """Mutable breakpoint list used during the sweep."""
+def _replace(s: BrokenLine, X: np.ndarray, points: list[tuple[float, float]]) -> BrokenLine:
+    """``s`` with its part on [points[0].t, points[-1].t] replaced by the given breakpoints.
 
-    ts: list[float]
-    vs: list[float]
-    abscissae: tuple[float, ...] = ()
+    A span end that lands strictly inside an existing piece truncates it;
+    the sampled values on the surviving stub are pinned as explicit
+    breakpoints so they stay bit-identical under later interpolation.
+    """
+    u, w = points[0][0], points[-1][0]
+    head, tail = s.t < u, s.t > w
+    pins_left = pins_right = X[:0]
+    if u not in s.t and head.any():
+        pins_left = X[(s.t[head][-1] < X) & (X < u)]
+    if w not in s.t and tail.any():
+        pins_right = X[(w < X) & (X < s.t[tail][0])]
+    ts, vs = zip(*points)
+    return BrokenLine(
+        np.concatenate([s.t[head], pins_left, ts, pins_right, s.t[tail]]),
+        np.concatenate(
+            [s.v[head], evaluate_many(s, pins_left), vs, evaluate_many(s, pins_right), s.v[tail]]
+        ),
+    )
 
-    def value(self, x: float) -> float:
-        i = int(np.searchsorted(self.ts, x, side="right")) - 1
-        if i >= 0 and self.ts[i] == x:
-            return self.vs[i]
-        if i == len(self.ts) - 1:
-            return self.vs[-1]
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        return self.vs[i] + (x - t0) * (self.vs[i + 1] - self.vs[i]) / (t1 - t0)
 
-    def slope_right_of(self, x: float) -> float:
-        i = int(np.searchsorted(self.ts, x, side="right")) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        return (self.vs[i + 1] - self.vs[i]) / (self.ts[i + 1] - self.ts[i])
+def _negate(s: BrokenLine) -> BrokenLine:
+    return BrokenLine(s.t, -s.v)
 
-    def proper_knots_in(self, lo: float, hi: float, tau: float, *, closed_right: bool = False) -> list[float]:
-        out = []
-        for j in range(1, len(self.ts) - 1):
-            t = self.ts[j]
-            inside = lo < t <= hi if closed_right else lo < t < hi
-            if inside and self._proper(j, tau):
-                out.append(t)
-        return out
 
-    def is_proper_knot_at(self, x: float, tau: float) -> bool:
-        for j in range(1, len(self.ts) - 1):
-            if self.ts[j] == x:
-                return self._proper(j, tau)
-        return False
-
-    def _proper(self, j: int, tau: float) -> bool:
-        left = (self.vs[j] - self.vs[j - 1]) / (self.ts[j] - self.ts[j - 1])
-        right = (self.vs[j + 1] - self.vs[j]) / (self.ts[j + 1] - self.ts[j])
-        return abs(right - left) > tau
-
-    def replace(self, points: list[tuple[float, float]]) -> None:
-        """Replace the polyline on [points[0].t, points[-1].t] by the given breakpoints.
-
-        A span end that lands strictly inside an existing piece truncates it;
-        the sampled values on the surviving stub are pinned as explicit
-        breakpoints so they stay bit-identical under later interpolation.
-        """
-        u, w = points[0][0], points[-1][0]
-        head = [(t, v) for t, v in zip(self.ts, self.vs) if t < u]
-        tail = [(t, v) for t, v in zip(self.ts, self.vs) if t > w]
-        pins_left: list[tuple[float, float]] = []
-        if u not in self.ts and head:
-            left_bp = head[-1][0]
-            pins_left = [
-                (x, self.value(x)) for x in self.abscissae if left_bp < x < u
-            ]
-        pins_right: list[tuple[float, float]] = []
-        if w not in self.ts and tail:
-            right_bp = tail[0][0]
-            pins_right = [
-                (x, self.value(x)) for x in self.abscissae if w < x < right_bp
-            ]
-        merged = head + pins_left + points + pins_right + tail
-        self.ts = [t for t, _ in merged]
-        self.vs = [v for _, v in merged]
-
-    def negate(self) -> None:
-        self.vs = [-v for v in self.vs]
+def _proper_knots(s: BrokenLine, tau: float) -> list[float]:
+    return s.knots[proper_mask(s, tau)].tolist()
 
 
 @dataclass(frozen=True)
@@ -133,7 +93,7 @@ class _Chord:
 
 
 def _first_crossing_down(
-    pl: _Polyline, line: _Chord, start: float, stop: float
+    s: BrokenLine, line: _Chord, start: float, stop: float
 ) -> tuple[float, float]:
     """Leftmost x in (start, stop] where the polyline comes back down onto ``line``.
 
@@ -144,11 +104,11 @@ def _first_crossing_down(
     on it, so the crossing is where the polyline leaves the line for good
     rather than a spurious micro-touch next to ``start``.
     """
-    probes = [t for t in pl.ts if start < t < stop] + [stop]
+    probes = s.t[(start < s.t) & (s.t < stop)].tolist() + [stop]
     prev_x, prev_d = start, 0.0
-    for x in probes:
-        d = pl.value(x) - line(x)
-        noise = 1e-12 * (abs(pl.value(x)) + abs(line(x)))
+    for x, value in zip(probes, evaluate_many(s, probes).tolist()):
+        d = value - line(x)
+        noise = 1e-12 * (abs(value) + abs(line(x)))
         if d < -noise:
             if prev_d > 0.0:
                 xhat = prev_x + prev_d * (x - prev_x) / (prev_d - d)
@@ -160,28 +120,29 @@ def _first_crossing_down(
 
 
 def _first_crossing(
-    pl: _Polyline, line: _Chord, start: float, stop: float
+    s: BrokenLine, line: _Chord, start: float, stop: float
 ) -> float | None:
     """Leftmost crossing of the polyline with ``line`` on [start, stop].
 
     Expects the polyline to start above the line and end below it; returns
     None when floating point leaves no sign change to resolve.
     """
-    probes = [start] + [t for t in pl.ts if start < t < stop] + [stop]
+    probes = [start] + s.t[(start < s.t) & (s.t < stop)].tolist() + [stop]
     prev_x = prev_d = None
-    for x in probes:
-        d = pl.value(x) - line(x)
+    for x, value in zip(probes, evaluate_many(s, probes).tolist()):
+        d = value - line(x)
         if prev_d is not None and prev_d > 0.0 >= d:
             return prev_x + prev_d * (x - prev_x) / (prev_d - d)
         prev_x, prev_d = x, d
     return None
 
 
-def _chord_replace(pl: _Polyline, u: float, w: float) -> None:
-    pl.replace([(u, pl.value(u)), (w, pl.value(w))])
+def _chord_replace(s: BrokenLine, X: np.ndarray, u: float, w: float) -> BrokenLine:
+    vu, vw = evaluate_many(s, [u, w]).tolist()
+    return _replace(s, X, [(u, vu), (w, vw)])
 
 
-def _iron_one_knot_below(pl: _Polyline, X: np.ndarray, q: int, t: float, tau: float) -> None:
+def _iron_one_knot_below(s: BrokenLine, X: np.ndarray, q: int, t: float, tau: float) -> BrokenLine:
     """Exactly one proper knot t in the open gap, lying strictly below the chord.
 
     Dispatches on the position of the polyline relative to the gap chord and
@@ -189,113 +150,96 @@ def _iron_one_knot_below(pl: _Polyline, X: np.ndarray, q: int, t: float, tau: fl
     flattened outright.
     """
     x_prev, x_q = float(X[q - 1]), float(X[q])
-    sigma = _Chord.through(x_prev, pl.value(x_prev), x_q, pl.value(x_q))
+    v_prev, v_q = evaluate_many(s, [x_prev, x_q]).tolist()
+    sigma = _Chord.through(x_prev, v_prev, x_q, v_q)
     if q == len(X) - 1:
-        _chord_replace(pl, x_prev, x_q)
-        return
+        return _chord_replace(s, X, x_prev, x_q)
     x_next = float(X[q + 1])
-    s_next = pl.value(x_next)
+    s_next = s(x_next)
     if s_next <= sigma(x_next):
         # The polyline re-crosses the extended chord inside the next gap:
         # flatten everything up to that crossing.
-        xhat, vhat = _first_crossing_down(pl, sigma, x_q, x_next)
+        xhat, vhat = _first_crossing_down(s, sigma, x_q, x_next)
         if xhat == x_next:
             vhat = s_next
         elif xhat == x_q:
-            vhat = pl.value(x_q)
-        points = [(x_prev, pl.value(x_prev))]
+            vhat = v_q
+        points = [(x_prev, v_prev)]
         if x_q < xhat:
-            points.append((x_q, pl.value(x_q)))
+            points.append((x_q, v_q))
         points.append((xhat, vhat))
-        pl.replace(points)
-        return
-    right_knots = pl.proper_knots_in(x_q, x_next, tau, closed_right=True)
+        return _replace(s, X, points)
+    right_knots = [u for u in _proper_knots(s, tau) if x_q < u <= x_next]
     if len(right_knots) == 1:
         t2 = right_knots[0]
-        phi = _Chord(x_q, pl.value(x_q), pl.slope_right_of(x_q))
+        slope_q = float(s.slopes()[np.searchsorted(s.t, x_q, side="right") - 1])
+        phi = _Chord(x_q, v_q, slope_q)  # forward tangent at x_q
         phi_next = phi(x_next)
         if coincident(s_next, phi_next):
-            return  # straight through the next gap; the lone knot sits on x_{q+1}
+            return s  # straight through the next gap; the lone knot sits on x_{q+1}
         if s_next < phi_next:
-            psi = _Chord.through(x_q, pl.value(x_q), x_next, s_next)
-            xhat = _first_crossing(pl, psi, x_prev, t)
+            psi = _Chord.through(x_q, v_q, x_next, s_next)
+            xhat = _first_crossing(s, psi, x_prev, t)
             if xhat is None or not (x_prev < xhat < t):
                 # Degenerate: bend at the knot itself, keeping its stored value
                 # so the polyline left of it stays untouched bit-for-bit.
-                start_point = (t, pl.value(t))
+                start_point = (t, s(t))
             else:
                 start_point = (xhat, psi(xhat))
-            pl.replace([start_point, (x_q, pl.value(x_q)), (x_next, s_next)])
-        else:
-            chi = _Chord.through(t2, pl.value(t2), x_next, s_next)
-            denom = sigma.slope - chi.slope
-            xhat = (chi(x_q) - sigma(x_q)) / denom + x_q if denom != 0.0 else t2
-            xhat = min(max(xhat, x_q), t2)
-            pl.replace(
-                [
-                    (x_prev, pl.value(x_prev)),
-                    (x_q, pl.value(x_q)),
-                    (xhat, sigma(xhat)),
-                    (x_next, s_next),
-                ]
-            )
-        return
+            return _replace(s, X, [start_point, (x_q, v_q), (x_next, s_next)])
+        chi = _Chord.through(t2, s(t2), x_next, s_next)
+        denom = sigma.slope - chi.slope
+        xhat = (chi(x_q) - sigma(x_q)) / denom + x_q if denom != 0.0 else t2
+        xhat = min(max(xhat, x_q), t2)
+        points = [(x_prev, v_prev), (x_q, v_q), (xhat, sigma(xhat)), (x_next, s_next)]
+        return _replace(s, X, points)
     if not right_knots:
-        return  # lone knot; both adjacent slopes are already divided differences
-    _chord_replace(pl, x_prev, x_q)
-    _chord_replace(pl, x_q, x_next)
+        return s  # lone knot; both adjacent slopes are already divided differences
+    return _chord_replace(_chord_replace(s, X, x_prev, x_q), X, x_q, x_next)
 
 
-def _iron_gap(pl: _Polyline, X: np.ndarray, q: int, tau: float) -> None:
+def _iron_gap(s: BrokenLine, X: np.ndarray, q: int, tau: float) -> BrokenLine:
     x_prev, x_q = float(X[q - 1]), float(X[q])
-    gap_knots = pl.proper_knots_in(x_prev, x_q, tau)
+    if not np.any((x_prev < s.t) & (s.t < x_q)):
+        return s  # no breakpoint inside the gap, so no gap knot to iron
+    proper = _proper_knots(s, tau)
+    gap_knots = [u for u in proper if x_prev < u < x_q]
     if q == 1:
-        if gap_knots:
-            _chord_replace(pl, x_prev, x_q)
-        return
+        return _chord_replace(s, X, x_prev, x_q) if gap_knots else s
     if not gap_knots:
-        return
-    if len(gap_knots) >= 2:
-        _chord_replace(pl, x_prev, x_q)
-        return
+        return s
+    if len(gap_knots) >= 2 or x_prev in proper or x_q in proper:
+        return _chord_replace(s, X, x_prev, x_q)
     t = gap_knots[0]
-    if pl.is_proper_knot_at(x_prev, tau) or pl.is_proper_knot_at(x_q, tau):
-        _chord_replace(pl, x_prev, x_q)
-        return
-    sigma = _Chord.through(x_prev, pl.value(x_prev), x_q, pl.value(x_q))
-    s_t = pl.value(t)
+    v_prev, v_q, s_t = evaluate_many(s, [x_prev, x_q, t]).tolist()
+    sigma = _Chord.through(x_prev, v_prev, x_q, v_q)
     if coincident(s_t, sigma(t)):
-        _chord_replace(pl, x_prev, x_q)  # knot sits on the chord: merge it away
-        return
+        return _chord_replace(s, X, x_prev, x_q)  # knot sits on the chord: merge it away
     if s_t < sigma(t):
-        _iron_one_knot_below(pl, X, q, t, tau)
-    else:
-        pl.negate()
-        _iron_one_knot_below(pl, X, q, t, tau)
-        pl.negate()
+        return _iron_one_knot_below(s, X, q, t, tau)
+    return _negate(_iron_one_knot_below(_negate(s), X, q, t, tau))
 
 
-def _tidy(pl: _Polyline, X: np.ndarray, tau: float) -> None:
+def _tidy(s: BrokenLine, X: np.ndarray, tau: float) -> BrokenLine:
     """Drop improper breakpoints whose removal leaves all sampled values bit-equal.
 
     The case dispatch only ever counts proper knots, so improper breakpoints
     are invisible to the construction either way; removal is purely cosmetic
     and therefore must not perturb a single sampled bit.
     """
-    xs = set(float(x) for x in X)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, len(pl.ts) - 1):
-            if pl._proper(j, tau):
+    sampled = evaluate_many(s, X)  # every kept removal leaves these bit-equal
+    proper = proper_mask(s, tau)
+    j = 1
+    while j < len(s.t) - 1:
+        if not proper[j - 1]:
+            trimmed = BrokenLine(np.delete(s.t, j), np.delete(s.v, j))
+            if np.array_equal(evaluate_many(trimmed, X), sampled):
+                # Only the neighbours of j changed: earlier breakpoints keep
+                # their verdicts, so the scan resumes at j - 1.
+                s, proper, j = trimmed, proper_mask(trimmed, tau), max(j - 1, 1)
                 continue
-            lo, hi = pl.ts[j - 1], pl.ts[j + 1]
-            covered = [x for x in xs if lo < x < hi]
-            trimmed = _Polyline(pl.ts[: j] + pl.ts[j + 1 :], pl.vs[: j] + pl.vs[j + 1 :])
-            if all(trimmed.value(x) == pl.value(x) for x in covered):
-                pl.ts, pl.vs = trimmed.ts, trimmed.vs
-                changed = True
-                break
+        j += 1
+    return s
 
 
 def regularize(data: DataSet, s: BrokenLine) -> BrokenLine:
@@ -304,15 +248,12 @@ def regularize(data: DataSet, s: BrokenLine) -> BrokenLine:
     The output polyline keeps the values of ``s`` at every data abscissa (and
     with them every approximation error), never gains a proper knot, and obeys
     |slope| <= m_second and |value| <= m_fourth from
-    :func:`divided_difference_bound`.
+    :func:`divided_difference_bound`. The proper-knot threshold is the input's
+    and stays fixed for the whole rebuild.
     """
     check_domain(s, data)
     tau = default_slope_tolerance(s)
-    pl = _Polyline(
-        list(map(float, s.t)), list(map(float, s.v)), tuple(map(float, data.x))
-    )
-    _tidy(pl, data.x, tau)
+    s = _tidy(s, data.x, tau)
     for q in range(1, len(data.x)):
-        _iron_gap(pl, data.x, q, tau)
-    _tidy(pl, data.x, tau)
-    return BrokenLine(np.array(pl.ts), np.array(pl.vs))
+        s = _iron_gap(s, data.x, q, tau)
+    return _tidy(s, data.x, tau)

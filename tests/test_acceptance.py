@@ -73,7 +73,7 @@ def test_criterion_2_regularizer_contract():
         out = regularize(data, s)
         before = evaluate_many(s, data.x)
         after = evaluate_many(out, data.x)
-        ok &= bool(np.allclose(after, before, rtol=1e-12, atol=1e-12))
+        ok &= after.tolist() == before.tolist()
         ok &= float(np.max(np.abs(out.slopes()))) <= bounds.m_second * (1 + 1e-12) + 1e-15
         ok &= float(np.max(np.abs(out.v))) <= bounds.m_fourth * (1 + 1e-12) + 1e-15
         ok &= len(proper_knot_positions(out, data)) <= len(proper_knot_positions(s, data))

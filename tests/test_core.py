@@ -45,6 +45,14 @@ class TestDataSet:
         with pytest.raises(ValueError):
             data.x[0] = 5.0
 
+    def test_copies_caller_arrays(self):
+        x, f = np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.5])
+        data = DataSet(x, f)
+        assert data.x is not x and data.f is not f
+        x[0], f[0] = -1.0, 7.0  # the caller's arrays stay writable
+        assert data.x.tolist() == [0.0, 1.0, 2.0]
+        assert data.f.tolist() == [1.0, -1.0, 0.5]
+
 
 class TestBrokenLine:
     def test_knot_count(self):
