@@ -197,8 +197,6 @@ def fit_line(xs, fs, p: PNorm) -> tuple[Line, float]:
     fs = np.asarray(fs, dtype=float)
     if len(xs) != len(fs) or len(xs) < 1:
         raise ValueError("need matching xs/fs with at least one point")
-    if len(xs) == 1:
-        return Line(0.0, float(fs[0])), 0.0
     if p.p == 2.0:
         xm, fm = xs.mean(), fs.mean()
         sxx = float(np.dot(xs - xm, xs - xm))

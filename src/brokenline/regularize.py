@@ -108,8 +108,7 @@ def _first_crossing_down(
     prev_x, prev_d = start, 0.0
     for x, value in zip(probes, evaluate_many(s, probes).tolist()):
         d = value - line(x)
-        noise = 1e-12 * (abs(value) + abs(line(x)))
-        if d < -noise:
+        if d < 0.0 and not coincident(value, line(x)):
             if prev_d > 0.0:
                 xhat = prev_x + prev_d * (x - prev_x) / (prev_d - d)
             else:
@@ -175,7 +174,7 @@ def _iron_one_knot_below(s: BrokenLine, X: np.ndarray, q: int, t: float, tau: fl
         slope_q = float(s.slopes()[np.searchsorted(s.t, x_q, side="right") - 1])
         phi = _Chord(x_q, v_q, slope_q)  # forward tangent at x_q
         phi_next = phi(x_next)
-        if coincident(s_next, phi_next):
+        if t2 == x_next or coincident(s_next, phi_next):
             return s  # straight through the next gap; the lone knot sits on x_{q+1}
         if s_next < phi_next:
             psi = _Chord.through(x_q, v_q, x_next, s_next)

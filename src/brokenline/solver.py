@@ -141,24 +141,26 @@ def solve_config(
     data: DataSet,
     config: KnotConfig,
     p: PNorm,
-    _fit=None,
+    fits: list[tuple[BrokenLine, float]] | None = None,
 ) -> FitResult | Infeasible:
     """Solve one configuration: decoupled chain fits plus gap feasibility.
 
-    Each free gap knot must be the intersection of the two flanking chain
-    lines, strictly inside its open gap (within the relative margin tau_gap).
-    Identical flanking lines mean the junction is improper and the merged
-    configuration (enumerated separately) covers it.
+    ``fits`` are the ``(polyline, error)`` pairs of ``config.chains(data.mu)``,
+    in order, as ``fit_chain`` returns them; without them each chain is fitted
+    here. Each free gap knot must be the intersection of the two flanking
+    chain lines, strictly inside its open gap (within the relative margin
+    tau_gap). Identical flanking lines mean the junction is improper and the
+    merged configuration (enumerated separately) covers it.
     """
-    fit = _fit or (lambda chain: fit_chain(data, chain, p))
-    fits = [fit(chain)[0] for chain in config.chains(data.mu)]
+    fits = fits or [fit_chain(data, chain, p) for chain in config.chains(data.mu)]
+    splines = [spline for spline, _ in fits]
     gaps = [j.q for j in config.junctions if j.kind == "gap"]
 
     # A chain's breakpoints are data.x[chain.breakpoint_indices()], so the
     # polyline is the chains' breakpoints in order, with the two chain ends
     # at each gap replaced by the intersection of the flanking end pieces.
-    ts, vs = [fits[0].t[:-1]], [fits[0].v[:-1]]
-    for q, left, right in zip(gaps, fits, fits[1:]):
+    ts, vs = [splines[0].t[:-1]], [splines[0].v[:-1]]
+    for q, left, right in zip(gaps, splines, splines[1:]):
         ml = (left.v[-1] - left.v[-2]) / (left.t[-1] - left.t[-2])
         mr = (right.v[1] - right.v[0]) / (right.t[1] - right.t[0])
         lo, hi = float(data.x[q]), float(data.x[q + 1])
@@ -175,20 +177,21 @@ def solve_config(
             return Infeasible(config, "outside-gap")
         ts += [[xi], right.t[1:-1]]
         vs += [[left.v[-1] + (xi - left.t[-1]) * ml], right.v[1:-1]]
-    ts.append(fits[-1].t[-1:])
-    vs.append(fits[-1].v[-1:])
+    ts.append(splines[-1].t[-1:])
+    vs.append(splines[-1].v[-1:])
 
     spline = BrokenLine(np.concatenate(ts), np.concatenate(vs))
-    err = error_norm(data, spline, p)
+    return _fit_result(data, spline, error_norm(data, spline, p), config)
+
+
+def _fit_result(data: DataSet, spline: BrokenLine, error: float, config: KnotConfig) -> FitResult:
     proper = sum(1 for lab in classify_knots(spline, data) if lab.proper)
-    return FitResult(spline, err, config, proper)
+    return FitResult(spline, error, config, proper)
 
 
 def _interpolant_result(data: DataSet) -> FitResult:
-    spline = BrokenLine(data.x, data.f)
     config = KnotConfig(tuple(Junction("data", q) for q in range(1, data.mu + 1)))
-    proper = sum(1 for lab in classify_knots(spline, data) if lab.proper)
-    return FitResult(spline, 0.0, config, proper)
+    return _fit_result(data, BrokenLine(data.x, data.f), 0.0, config)
 
 
 def _lower_bound(data: DataSet, config: KnotConfig, p: PNorm, line_error) -> float:
@@ -436,10 +439,10 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
         limit = np.inf if best is None else best.error * (1.0 + 1e-9) + slack
         if bound > limit:
             break
-        rank = residual_norm(np.array([cached_fit(c)[1] for c in cfg.chains(data.mu)]), p)
-        if rank > limit:
+        fits = [cached_fit(chain) for chain in cfg.chains(data.mu)]
+        if residual_norm(np.array([err for _, err in fits]), p) > limit:
             continue
-        out = solve_config(data, cfg, p, _fit=cached_fit)
+        out = solve_config(data, cfg, p, fits)
         if isinstance(out, FitResult) and (
             best is None
             or (out.error, out.config.sort_key()) < (best.error, best.config.sort_key())

@@ -54,6 +54,40 @@ class TestFit:
         assert text.count("knot-interior") == 1
         assert "<polyline" in text and "data-point" in text
 
+    def test_svg_marks_a_data_knot(self, tmp_path, capsys):
+        peak = tmp_path / "peak.csv"
+        peak.write_text("x,f\n0,0\n1,1\n2,2\n3,1\n4,0\n")
+        svg = tmp_path / "out.svg"
+        code, out, _ = run(capsys, "fit", "--input", peak, "--k", 1, "--p", "2", "--emit-svg", svg)
+        assert code == 0
+        assert json.loads(out)["config"][0]["kind"] == "data"
+        text = svg.read_text()
+        assert text.count("knot-data") == 1 and "knot-interior" not in text
+
+    def test_blank_line_skipped(self, tent_csv, tmp_path, capsys):
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("x,f\n0,0\n\n1,1\n3,1\n\n4,0\n")
+        _, expected, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
+        code, out, _ = run(capsys, "fit", "--input", gappy, "--k", 1, "--p", "2")
+        assert code == 0
+        assert out == expected
+
+    def test_unparsable_row_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,f\n0,0\nabc,1\n3,1\n")
+        code, _, err = run(capsys, "fit", "--input", bad, "--k", 1, "--p", "2")
+        assert code == 2
+        assert "cannot parse" in err
+
+    def test_internal_failure_exits_1(self, tent_csv, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("brokenline.cli.best_fit", broken)
+        code, _, err = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
+        assert code == 1
+        assert err.startswith("internal error:") and "boom" in err
+
     def test_byte_identical_reruns(self, tent_csv, capsys):
         _, first, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
         _, second, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
@@ -191,6 +225,12 @@ class TestVerify:
         code, _, err = run(capsys, command, "--input", tent_csv, "--spline", bad, *extra)
         assert code == 2
         assert "interval" in err
+
+    def test_missing_spline_exits_2(self, tent_csv, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code, _, err = run(capsys, "verify", "--input", tent_csv, "--spline", missing, "--p", "2")
+        assert code == 2
+        assert "cannot read" in err
 
     def test_invalid_json_exits_2(self, tent_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from brokenline import (
     fit_chain,
     fit_fixed_knots,
     fit_line,
+    residual_norm,
 )
 from brokenline import fixed_knot
 from brokenline.fixed_knot import hat_design
@@ -186,8 +187,32 @@ class TestFitLine:
         assert abs(err - 0.5) <= 1e-12
 
     def test_single_point(self):
-        line, err = fit_line([1.0], [2.0], PNorm.two())
-        assert err == 0.0 and line(1.0) == 2.0
+        for p in ALL_NORMS + [PNorm.general(1.5), PNorm.general(3.0)]:
+            for f0 in (2.0, -3.7, 0.0, 1e-13, 1e160):
+                for x0 in (1.0, -5.0, 1.7e9):
+                    line, err = fit_line([x0], [f0], p)
+                    assert (line.slope, line.intercept, err) == (0.0, f0, 0.0)
+
+    @pytest.mark.parametrize(
+        "p, centre",
+        [
+            (PNorm.two(), 2.3),
+            (PNorm.one(), 2.0),
+            (PNorm.infinity(), 3.0),
+            (PNorm.general(1.5), None),
+            (PNorm.general(3.0), None),
+        ],
+    )
+    def test_equal_abscissae_fit_a_constant(self, p, centre):
+        # Mean at p=2, median at p=1, midrange at p=inf; other p minimize directly.
+        fs = np.array([3.0, -1.0, 0.5, 7.0, 2.0])
+        line, err = fit_line(np.full(5, 2.0), fs, p)
+        assert line.slope == 0.0
+        if centre is not None:
+            assert abs(line.intercept - centre) <= 1e-9
+        assert err == pytest.approx(float(residual_norm(fs - line.intercept, p)), rel=1e-12)
+        for c in np.linspace(-1.0, 7.0, 161):
+            assert err <= float(residual_norm(fs - c, p)) * (1.0 + 1e-9)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

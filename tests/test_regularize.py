@@ -152,6 +152,24 @@ class TestRegularize:
         with pytest.raises(DomainError):
             regularize(data, BrokenLine([0.0, 2.0], [0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            [0, 0, 0, 0, 0, 0],
+            [-1, -1, -0.5, 0, 1.5, 3],
+            [5, -2, 7, 1, 0, -4],
+            [1e-9, 0, 3, 2, 1e6, -1],
+        ],
+    )
+    def test_lone_knot_on_next_abscissa(self, f):
+        # The one proper knot right of x_2 sits on x_3, so the polyline runs
+        # straight through the gap (x_2, x_3), and the rebuild keeps it as is.
+        data = DataSet(np.arange(6.0), np.array(f, dtype=float))
+        s = BrokenLine([0.0, 1.5, 3.0, 5.0], [-1.0, -1.0, 0.0, 3.0])
+        out = regularize(data, s)
+        assert (out.t.tolist(), out.v.tolist()) == (s.t.tolist(), s.v.tolist())
+        check_postconditions(data, s)
+
     @pytest.mark.xfail(
         strict=True,
         reason="at x -> 60x + 1.7e9 the rebuild gains a proper knot that the unit-scale rebuild "

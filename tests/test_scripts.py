@@ -33,3 +33,12 @@ def test_oracle_convergence_runs():
     proc = run_script("oracle_convergence.py", "--instances", "1", "--grids", "1", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2].startswith("mean")
+
+
+def test_answer_digest_repeats():
+    runs = [run_script("answer_digest.py", "--quick", "--seed", "3") for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["best_fit", "grid_oracle", "regularize"]
+    assert all(len(line.split()[2]) == 64 for line in lines)
+    assert runs[1].stdout == runs[0].stdout

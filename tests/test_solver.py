@@ -164,6 +164,20 @@ class TestSolveConfig:
             lo, hi = 2.0, 3.0
             assert lo < result.spline.t[1] < hi
 
+    @pytest.mark.parametrize("p", NORMS)
+    def test_given_fits_give_the_same_outcome(self, p):
+        data = random_dataset(make_rng(61), 6)
+        for config in enumerate_configs(data.mu, 2):
+            fits = [fit_chain(data, chain, p) for chain in config.chains(data.mu)]
+            own, given = solve_config(data, config, p), solve_config(data, config, p, fits)
+            if isinstance(own, Infeasible):
+                assert given == own
+            else:
+                assert (given.error, given.config) == (own.error, own.config)
+                assert given.proper_knot_count == own.proper_knot_count
+                assert given.spline.t.tolist() == own.spline.t.tolist()
+                assert given.spline.v.tolist() == own.spline.v.tolist()
+
     def test_rejects_invalid_config(self):
         data = DataSet([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -190,6 +204,27 @@ class TestBestFit:
         result = best_fit(data, 1, PNorm.two())
         assert result.error <= 1e-12
         assert abs(result.spline.t[1] - 2.0) <= 1e-12
+
+    def test_chains_built_once_per_ranked_config(self, monkeypatch):
+        # The rank and the assembly share one chain split per configuration;
+        # only a configuration whose bound ends the walk goes unsplit.
+        split, streamed = [], []
+        chains, stream = KnotConfig.chains, brokenline.solver._configs_by_bound
+
+        def counted_chains(config, mu):
+            split.append(config)
+            return chains(config, mu)
+
+        def counted_stream(*args):
+            for bound, config in stream(*args):
+                streamed.append(config)
+                yield bound, config
+
+        monkeypatch.setattr(KnotConfig, "chains", counted_chains)
+        monkeypatch.setattr(brokenline.solver, "_configs_by_bound", counted_stream)
+        best_fit(random_dataset(make_rng(123), 12), 3, PNorm.two())
+        assert len(streamed) - 1 <= len(split) and split == streamed[: len(split)]
+        assert len(split) > 100
 
     def test_interpolation_shortcut(self):
         data = DataSet([0.0, 1.0, 2.0], [0.3, -0.4, 0.9])
@@ -256,7 +291,8 @@ class TestBestFit:
                 # saves time.
                 fit = functools.cache(lambda chain: fit_chain(data, chain, p))
                 outcomes = [
-                    solve_config(data, c, p, _fit=fit) for c in enumerate_configs(data.mu, k)
+                    solve_config(data, c, p, [fit(chain) for chain in c.chains(data.mu)])
+                    for c in enumerate_configs(data.mu, k)
                 ]
                 ref = min(
                     (out for out in outcomes if isinstance(out, FitResult)),
@@ -421,7 +457,10 @@ class TestBestFit:
         p = PNorm.general(200.0)
         result = best_fit(data, 2, p)
         fit = functools.cache(lambda chain: fit_chain(data, chain, p))
-        outcomes = [solve_config(data, c, p, _fit=fit) for c in enumerate_configs(data.mu, 2)]
+        outcomes = [
+            solve_config(data, c, p, [fit(chain) for chain in c.chains(data.mu)])
+            for c in enumerate_configs(data.mu, 2)
+        ]
         ref = min(
             (out for out in outcomes if isinstance(out, FitResult)),
             key=lambda out: (out.error, out.config.sort_key()),
