@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Convergence study: gridded-oracle error minus global-solver error, per grid.
 
-Fits random smooth instances with the global solver, then runs the
-brute-force grid oracle over a refinement ladder and tabulates the gaps.
+Fits random smooth instances (``generate_instance.make_dataset``, with f
+scaled by --amplitude) with the global solver, then runs the brute-force grid
+oracle over a refinement ladder and tabulates the gaps.
 The gaps must stay nonnegative (dominance), shrink along the ladder
 (nested candidate sets), and end up small at the finest grid.
 """
@@ -13,18 +14,9 @@ import time
 import numpy as np
 
 from brokenline import DataSet, PNorm, best_fit, grid_oracle
+from generate_instance import make_dataset
 
 NORMS = {"1": PNorm.one(), "2": PNorm.two(), "inf": PNorm.infinity()}
-
-
-def smooth_instance(rng, mu, amplitude):
-    xs = np.cumsum(rng.uniform(0.5, 1.5, mu + 2))
-    xs -= xs[0]
-    t = xs / xs[-1]
-    fs = rng.uniform(0.5, 1.5) * np.sin(rng.uniform(1, 3) * np.pi * t)
-    fs += rng.uniform(0.1, 0.5) * np.cos(rng.uniform(3, 7) * t)
-    fs = amplitude * fs + amplitude / 60.0 * rng.standard_normal(mu + 2)
-    return DataSet(xs, fs)
 
 
 def main() -> int:
@@ -48,7 +40,8 @@ def main() -> int:
     for i in range(args.instances):
         k = int(rng.integers(1, args.k_max + 1))
         mu = int(rng.integers(k + 2, args.mu_max + 1))
-        data = smooth_instance(rng, mu, args.amplitude)
+        smooth = make_dataset(rng, "smooth", mu)
+        data = DataSet(smooth.x, args.amplitude * smooth.f)
         label, p = norms[i % len(norms)]
         result = best_fit(data, k, p)
         gaps = [grid_oracle(data, k, p, g) - result.error for g in args.grids]

@@ -31,7 +31,8 @@ from typing import Literal, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BrokenLine, DataSet, PNorm, classify_knots, coincident
+from .core import BrokenLine, DataSet, PNorm, coincident, default_slope_tolerance, proper_mask
+from .core import classify_knots  # noqa: F401  (perfbench/tracing.py wraps solver.classify_knots)
 from .fixed_knot import ChainProblem, _newton_fit, fit_chain
 from .norms import error_norm, pow2_above, residual_norm
 
@@ -96,10 +97,16 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A configuration's assembled polyline and its discrete p-norm error."""
+
     spline: BrokenLine
     error: float
     config: KnotConfig
-    proper_knot_count: int
+
+    @property
+    def proper_knot_count(self) -> int:
+        """Proper knots of ``spline``, by the same mask ``classify_knots`` applies."""
+        return int(np.count_nonzero(proper_mask(self.spline, default_slope_tolerance(self.spline))))
 
 
 def _junction(code: int) -> Junction:
@@ -181,17 +188,7 @@ def solve_config(
     vs.append(splines[-1].v[-1:])
 
     spline = BrokenLine(np.concatenate(ts), np.concatenate(vs))
-    return _fit_result(data, spline, error_norm(data, spline, p), config)
-
-
-def _fit_result(data: DataSet, spline: BrokenLine, error: float, config: KnotConfig) -> FitResult:
-    proper = sum(1 for lab in classify_knots(spline, data) if lab.proper)
-    return FitResult(spline, error, config, proper)
-
-
-def _interpolant_result(data: DataSet) -> FitResult:
-    config = KnotConfig(tuple(Junction("data", q) for q in range(1, data.mu + 1)))
-    return _fit_result(data, BrokenLine(data.x, data.f), 0.0, config)
+    return FitResult(spline, error_norm(data, spline, p), config)
 
 
 def _lower_bound(data: DataSet, config: KnotConfig, p: PNorm, line_error) -> float:
@@ -426,7 +423,8 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
     if k < 0:
         raise ValueError("k must be >= 0")
     if data.mu < k + 1:
-        return _interpolant_result(data)
+        config = KnotConfig(tuple(Junction("data", q) for q in range(1, data.mu + 1)))
+        return FitResult(BrokenLine(data.x, data.f), 0.0, config)
 
     cached_fit = functools.cache(lambda chain: fit_chain(data, chain, p))
     # The rank and the assembled polyline's error_norm agree up to rounding;

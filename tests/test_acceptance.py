@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance and time budget.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion. Instance generation is seeded (override with BROKENLINE_SEED).
+criterion. Instance generation is seeded with the fixed ``conftest.SEED``.
 """
 
 import time

@@ -22,6 +22,7 @@ from brokenline import (
     grid_oracle,
     solve_config,
 )
+from brokenline.core import proper_knot_positions
 from brokenline.norms import residual_norm
 from brokenline.solver import (
     _LINE_TABLES,
@@ -519,6 +520,35 @@ class TestBestFit:
                 moved = DataSet(alpha * data.x + beta, gamma * data.f + delta)
                 error = best_fit(moved, k, p).error
                 assert abs(error - abs(gamma) * base) <= 1e-6 * abs(gamma) * base
+
+    def test_search_classifies_no_knot(self, monkeypatch):
+        # Only the answer's proper knots are counted, and only when asked for,
+        # by the mask classify_knots applies.
+        def refuse(*args):
+            raise AssertionError("best_fit classified knots")
+
+        rng = make_rng(70)
+        cases = [(random_dataset(rng, 7), 2), (smooth_dataset(rng, 8), 2)]
+        cases += [(planted_instance(rng, 6, 2)[0], 2), (random_dataset(rng, 2), 3)]
+        for data, k in cases:
+            for moved in (data, DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0)):
+                for p in NORMS + [PNorm.general(1.5)]:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(brokenline.solver, "classify_knots", refuse)
+                        result = best_fit(moved, k, p)
+                    expected = len(proper_knot_positions(result.spline, moved))
+                    assert result.proper_knot_count == expected
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="with gaps of 2-3 ulps a gap knot that rounds onto the ulp grid is rejected "
+        "as outside its gap, or moved without a refit of the values",
+    )
+    @pytest.mark.parametrize("p", [PNorm.two(), PNorm.one()])
+    def test_ulp_wide_gaps_reach_the_oracle(self, p):
+        f = smooth_dataset(make_rng(3), 6).f
+        data = DataSet(1.7e9 + 5e-7 * np.arange(len(f)), f)
+        assert best_fit(data, 2, p).error <= grid_oracle(data, 2, p, 4) * (1 + 1e-9)
 
     @pytest.mark.parametrize("p", NORMS)
     def test_proper_knots_at_any_scale(self, p):
