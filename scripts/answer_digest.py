@@ -13,6 +13,10 @@ can be checked by running this script on both versions. Sections:
 - regularize: 9000 rebuilds (output breakpoint bytes): 3000 random pairs with
   mu 1-29 and up to 15 knots, the same pairs at the affine scale above, and
   3000 pairs on an integer grid with knots on half-integers.
+- best_fit_p2_wide: 120 answers at p = 2 on noise, smooth and planted data
+  with mu 13-40 and k 1-3, each at unit scale and at the affine scale above.
+  Their p = 2 line tables are wider than best_fit's, and at mu = 40 they
+  take two chunks.
 
 An answer that raises is recorded by the exception's type name. --quick
 runs a small slice of every section in a few seconds.
@@ -59,6 +63,14 @@ def best_fit_answers(rng: np.random.Generator, instances: int):
         yield answer(best_fit, affine(data), k, p)
 
 
+def best_fit_p2_wide_answers(rng: np.random.Generator, instances: int):
+    for i in range(instances):
+        mu, k = int(rng.integers(13, 41)), int(rng.integers(1, 4))
+        data = make_dataset(rng, KINDS[i % len(KINDS)], mu, k)
+        yield answer(best_fit, data, k, PNorm.two())
+        yield answer(best_fit, affine(data), k, PNorm.two())
+
+
 def oracle_answers(rng: np.random.Generator, values: int):
     for i in range(values):
         kind, p = KINDS[i % len(KINDS)], NORMS[(i // len(KINDS)) % len(NORMS)]
@@ -96,9 +108,9 @@ def regularize_answers(rng: np.random.Generator, pairs: int):
 
 def sections(seed: int, quick: bool):
     """(name, answers) per section; each section draws from its own generator."""
-    sizes = (12, 5, 50) if quick else (210, 50, 3000)
-    names = ("best_fit", "grid_oracle", "regularize")
-    makers = (best_fit_answers, oracle_answers, regularize_answers)
+    sizes = (12, 5, 50, 3) if quick else (210, 50, 3000, 60)
+    names = ("best_fit", "grid_oracle", "regularize", "best_fit_p2_wide")
+    makers = (best_fit_answers, oracle_answers, regularize_answers, best_fit_p2_wide_answers)
     for i, (name, make, size) in enumerate(zip(names, makers, sizes)):
         yield name, make(np.random.default_rng([seed, i]), size)
 

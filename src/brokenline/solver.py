@@ -212,34 +212,43 @@ def _lower_bound(data: DataSet, config: KnotConfig, p: PNorm, line_error) -> flo
     return residual_norm(np.array(errs), p)
 
 
+_BLOCK_CHUNK = 1 << 15  # (block, offset) entries a chunk of the p=2 line table holds at once
+_PAIR_CHUNK = 1 << 20  # misses a line table holds at once, which bounds its memory
+
+
 def _p2_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Least-squares line errors of all blocks: E[a, b] for points a..b.
 
     Each block is centred on its own means, twice, so the rounding of a mean
     at an offset such as x ~ 1.7e9 leaves no bias; running sums of x, x^2, f
-    and xf over the whole data would cancel catastrophically there. The
-    slope is sum(dx*df) / sum(dx*dx) and the error the norm of
-    df - slope*dx. Blocks of one or two points get 0, since a line passes
-    through them. x and f are first divided by powers of two, which is
-    exact, so that no sum of squares over- or underflows at extreme scales.
+    and xf over the whole data would cancel catastrophically there, and
+    would lift the zero error of a block that a line fits exactly above the
+    search's margin. The slope is sum(dx*df) / sum(dx*dx) and the error the
+    norm of df - slope*dx. Blocks of one or two points get 0, since a line
+    passes through them. x and f are first divided by powers of two, which
+    is exact, so that no sum of squares over- or underflows at extreme
+    scales.
+
+    The blocks of three or more points are taken longest first, in chunks
+    of _BLOCK_CHUNK // n, so that a few numpy calls serve many blocks. A
+    chunk is one (block, offset) array as wide as its first block, read from
+    x and f (each repeated once past its end) at each block's start. A 0/1
+    mask zeroes the offsets past each block's end and keeps them zero through
+    both centrings, so every mean and sum runs over the block's own points.
     """
     n, scale = len(x), pow2_above(f)
-    x, f = x / pow2_above(x), f / scale
-    E = np.zeros((n, n))
-    for length in range(3, n + 1):
-        dx = sliding_window_view(x, length)
-        df = sliding_window_view(f, length)
-        for _ in range(2):
-            dx = dx - dx.mean(axis=1, keepdims=True)
-            df = df - df.mean(axis=1, keepdims=True)
-        slope = np.sum(dx * df, axis=1) / np.sum(dx * dx, axis=1)
-        r = df - slope[:, None] * dx
-        a = np.arange(n - length + 1)
-        E[a, a + length - 1] = np.sqrt(np.sum(r * r, axis=1))
+    xs, fs = (sliding_window_view(np.tile(v, 2), n) for v in (x / pow2_above(x), f / scale))
+    rest, start = np.tril_indices(n - 2)  # the block of n - rest points from start
+    E, step = np.zeros((n, n)), max(1, _BLOCK_CHUNK // n)
+    for lo in range(0, len(start), step):
+        a, m = start[lo : lo + step], n - rest[lo : lo + step, None]
+        mask = (np.arange(m[0, 0]) < m).astype(float)
+        dx, df = xs[a, : m[0, 0]] * mask, fs[a, : m[0, 0]] * mask
+        for d in (dx, df, dx, df):
+            d -= mask * (d.sum(axis=1, keepdims=True) / m)
+        df -= (np.einsum("ij,ij->i", dx, df) / np.einsum("ij,ij->i", dx, dx))[:, None] * dx
+        E[a, a + m[:, 0] - 1] = np.sqrt(np.einsum("ij,ij->i", df, df))
     return scale * E
-
-
-_PAIR_CHUNK = 1 << 20  # misses a line table holds at once, which bounds its memory
 
 
 def _pairs(n: int, gap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

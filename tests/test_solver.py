@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import brokenline.solver
 from brokenline import (
@@ -22,8 +23,8 @@ from brokenline import (
     grid_oracle,
     solve_config,
 )
-from brokenline.core import proper_knot_positions
-from brokenline.norms import residual_norm
+from brokenline.core import evaluate_many, proper_knot_positions
+from brokenline.norms import pow2_above, residual_norm
 from brokenline.solver import (
     _LINE_TABLES,
     _batched_design,
@@ -73,6 +74,24 @@ def naive_configs(mu: int, k: int) -> set[tuple[tuple[str, int], ...]]:
                 if (mu + 1) - start + 1 >= 2:
                     found.add(sel)
     return found
+
+
+def p2_line_errors_by_length(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The p=2 line table one block length at a time, the reference for _p2_line_errors."""
+    n, scale = len(x), pow2_above(f)
+    x, f = x / pow2_above(x), f / scale
+    E = np.zeros((n, n))
+    for length in range(3, n + 1):
+        dx = sliding_window_view(x, length)
+        df = sliding_window_view(f, length)
+        for _ in range(2):
+            dx = dx - dx.mean(axis=1, keepdims=True)
+            df = df - df.mean(axis=1, keepdims=True)
+        slope = np.sum(dx * df, axis=1) / np.sum(dx * dx, axis=1)
+        r = df - slope[:, None] * dx
+        a = np.arange(n - length + 1)
+        E[a, a + length - 1] = np.sqrt(np.sum(r * r, axis=1))
+    return scale * E
 
 
 class TestEnumerateConfigs:
@@ -394,6 +413,50 @@ class TestBestFit:
                 rank = residual_norm(np.array([fit(c)[1] for c in cfg.chains(data.mu)]), p)
                 bound = _lower_bound(data, cfg, p, lambda a, b: table[a, b])
                 assert bound <= rank * (1.0 + 1e-9) + slack
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_p2_line_table_matches_the_per_length_loop(self, monkeypatch):
+        # The chunked table agrees with a pass per block length, at every
+        # scale the search must handle. A budget of 100 entries splits the
+        # blocks of one length over several chunks and puts blocks of two
+        # lengths in one chunk; a row's masked sum can round differently
+        # with the chunk's width, so entries agree to rounding.
+        rng = make_rng(63)
+        for mu in (0, 1, 2, 3, 9, 24, 40):
+            data = random_dataset(rng, mu)
+            for x, f in [
+                (data.x, data.f),
+                (60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0),
+                (data.x, 1e-13 * data.f),
+                (data.x, 1e160 * data.f),
+                (data.x, 1e-170 * data.f),
+            ]:
+                table = _p2_line_errors(x, f)
+                ref = p2_line_errors_by_length(x, f)
+                np.testing.assert_allclose(table, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(f)))
+                with monkeypatch.context() as patch:
+                    patch.setattr(brokenline.solver, "_BLOCK_CHUNK", 100)
+                    np.testing.assert_allclose(_p2_line_errors(x, f), table, rtol=1e-13)
+
+    @pytest.mark.parametrize("epoch", [False, True])
+    def test_p2_line_table_is_zero_inside_a_planted_piece(self, epoch):
+        # A line fits a block inside one piece of a planted polyline
+        # exactly, so its entry must stay far below the search's margin of
+        # 1e-9*max|f|, or the bound would prune the zero-error optimum. A
+        # table from running sums of x, x^2, f and xf reads up to about
+        # 5e-10*max|f| on these blocks at unit scale and 4e-3*max|f| at
+        # epoch scale.
+        data, spline, _ = planted_instance(make_rng(76), 20, 2)  # knots d2 and g5
+        if epoch:
+            x = 60.0 * data.x + 1.7e9
+            spline = BrokenLine(60.0 * spline.t + 1.7e9, -2.5 * spline.v + 100.0)
+            data = DataSet(x, evaluate_many(spline, x))
+        table = _p2_line_errors(data.x, data.f)
+        knots = spline.t[1:-1]
+        assert len(knots) == 2
+        for a, b in itertools.combinations(range(len(data.x)), 2):
+            if not np.any((data.x[a] < knots) & (knots < data.x[b])):
+                assert table[a, b] <= 1e-12 * np.max(np.abs(data.f))
 
     @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
     def test_lp_line_tables_match_fit_chain(self, p, monkeypatch):
