@@ -19,9 +19,13 @@ can be checked by running this script on both versions. Sections:
   take two chunks.
 
 An answer that raises is recorded by the exception's type name. --quick
-runs a small slice of every section in a few seconds.
+runs a small slice of every section in a few seconds. --answers also prints
+one line per answer before its section's digest: section, index, the first
+16 hex digits of the answer's sha256, then the error in hex and the
+configuration (a best_fit answer), the value in hex (grid_oracle) or the
+exception's name. Two versions can then be diffed answer by answer.
 
-    PYTHONPATH=src python scripts/answer_digest.py [--seed N] [--quick]
+    PYTHONPATH=src python scripts/answer_digest.py [--seed N] [--quick] [--answers]
 """
 
 import argparse
@@ -40,18 +44,20 @@ def affine(data: DataSet) -> DataSet:
     return DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0)
 
 
-def answer(fn, *args) -> bytes:
-    """What ``fn(*args)`` returns, as bytes, or the type name of what it raises."""
+def answer(fn, *args) -> tuple[str, bytes]:
+    """A label and the bytes of what ``fn(*args)`` returns, or the name of what it raises."""
     try:
         out = fn(*args)
     except Exception as exc:
-        return f"raised {type(exc).__name__}".encode()
+        label = f"raised {type(exc).__name__}"
+        return label, label.encode()
     if isinstance(out, BrokenLine):
-        return out.t.tobytes() + out.v.tobytes()
+        return "", out.t.tobytes() + out.v.tobytes()
     if isinstance(out, float):
-        return struct.pack("<d", out)
+        return out.hex(), struct.pack("<d", out)
     spline = out.spline.t.tobytes() + out.spline.v.tobytes()
-    return f"{out.error.hex()} {out.config} {out.proper_knot_count} ".encode() + spline
+    label = f"{out.error.hex()} {out.config}"
+    return label, f"{label} {out.proper_knot_count} ".encode() + spline
 
 
 def best_fit_answers(rng: np.random.Generator, instances: int):
@@ -119,11 +125,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument("--quick", action="store_true", help="a small slice of every section")
+    parser.add_argument("--answers", action="store_true", help="also print one line per answer")
     args = parser.parse_args()
     for name, answers in sections(args.seed, args.quick):
         digest, count = hashlib.sha256(), 0
-        for item in answers:
-            digest.update(hashlib.sha256(item).digest())
+        for label, item in answers:
+            item_digest = hashlib.sha256(item)
+            digest.update(item_digest.digest())
+            if args.answers:
+                print(f"{name} {count} {item_digest.hexdigest()[:16]} {label}".rstrip())
             count += 1
         print(f"{name} {count} {digest.hexdigest()}")
     return 0

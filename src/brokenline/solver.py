@@ -9,7 +9,10 @@ open gap are dominated by data-knot configurations, which the enumeration
 covers, so discarding them never loses the optimum. Configurations are
 streamed lazily in nondecreasing order of a line-fit lower bound, and only
 those that can still beat or tie the incumbent are fitted and assembled (see
-``_configs_by_bound`` and ``best_fit``).
+``_configs_by_bound`` and ``best_fit``). Among fits within the search's margin
+1e-9*max|f| the fewest junctions win, then the lexicographically smallest, so
+an incumbent within it ends the stream, and a walk in that order with the
+same bound (``_configs_by_key``) looks only for a smaller such configuration.
 
 A brute-force grid oracle provides an independent upper bound on the minimum
 for cross-checking; its inner fits run on separate batched machinery (normal
@@ -24,9 +27,9 @@ import heapq
 import itertools
 import math
 import operator
-from collections.abc import Generator, Iterator
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass
-from typing import Literal, TypeVar
+from typing import Literal, NamedTuple, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -321,22 +324,28 @@ def _linf_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 _LINE_TABLES = {1.0: _l1_line_errors, 2.0: _p2_line_errors, math.inf: _linf_line_errors}
 
 
-def _configs_by_bound(
-    data: DataSet, k: int, p: PNorm, line_error
-) -> Iterator[tuple[float, KnotConfig]]:
-    """The configurations of ``enumerate_configs`` in nondecreasing bound order.
+class _BoundDag(NamedTuple):
+    """The tables of ``_bound_dag``, which the stream and the walk share."""
 
-    Yields ``(bound, config)`` lazily, bound being ``_lower_bound`` up to
-    rounding. A configuration is a path through junction codes (code 0 is
-    the left end of the data) whose edges are the blocks of ``_lower_bound``.
-    Edge costs are line errors, combined by max for p = inf and otherwise
-    summed as p-th powers; for finite p each error is first divided by one
-    power of two above the largest, so no sum over- or underflows. A
-    suffix dynamic program gives every (code, junctions left) state its least
-    completion cost, and a heap keyed by prefix cost combined with that
-    minimum pops whole configurations cheapest first: lazy k-shortest paths
-    in a hop-limited DAG (Eppstein, SIAM J. Comput. 1998). Each pop pushes at
-    most two entries, its next sibling and its best child.
+    edge: np.ndarray
+    W: np.ndarray
+    end: np.ndarray
+    least: list[np.ndarray]
+    combine: Callable[[float, float], float]
+    vcombine: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    to_bound: Callable
+
+
+def _bound_dag(data: DataSet, k: int, p: PNorm, line_error) -> _BoundDag:
+    """The DAG whose paths are the configurations of ``enumerate_configs``.
+
+    A configuration is a path through junction codes (code 0 is the left
+    end of the data) whose edges are the blocks of ``_lower_bound``. Edge
+    costs are line errors, combined by max for p = inf and otherwise summed
+    as p-th powers; for finite p each error is first divided by one power
+    of two above the largest, so no sum over- or underflows. A suffix
+    dynamic program gives every (code, junctions left) state its least
+    completion cost.
 
     At p in {1, 2, inf} the line errors come in closed form from
     ``_LINE_TABLES``; otherwise each is ``line_error(a, b)``, asked only for
@@ -377,10 +386,22 @@ def _configs_by_bound(
     vcombine, combine = (np.maximum, max) if inf else (np.add, operator.add)
     end = cost[start, mu + 1]
     W = np.where(edge, cost[start[:, None], q[None, :]], np.inf)
-    least = [end]  # least[r][c]: least completion cost with r junctions left
+    least = [end]  # least[r][c]: least completion cost with at most r junctions left
     for _ in range(k):
         least.append(np.minimum(end, vcombine(W, least[-1][None, :]).min(axis=1)))
+    return _BoundDag(edge, W, end, least, combine, vcombine, to_bound)
 
+
+def _configs_by_bound(dag: _BoundDag) -> Iterator[tuple[float, KnotConfig]]:
+    """The configurations of ``enumerate_configs`` in nondecreasing bound order.
+
+    Yields ``(bound, config)`` lazily, bound being ``_lower_bound`` up to
+    rounding. A heap keyed by prefix cost combined with the least completion
+    cost pops whole configurations cheapest first: lazy k-shortest paths in
+    a hop-limited DAG (Eppstein, SIAM J. Comput. 1998). Each pop pushes at
+    most two entries, its next sibling and its best child.
+    """
+    edge, W, end, least, combine, vcombine, to_bound = dag
     children: dict[tuple[int, int], tuple[list[float], list[int]]] = {}
 
     def ordered(c: int, r: int) -> tuple[list[float], list[int]]:
@@ -392,7 +413,7 @@ def _configs_by_bound(
             children[c, r] = h[order].tolist(), np.concatenate(([-1], moves))[order].tolist()
         return children[c, r]
 
-    slots = [_junction(code) for code in range(2 * mu + 1)]
+    k, slots = len(least) - 1, [_junction(code) for code in range(len(end))]
     seq = itertools.count()
     # (key, tie, prefix cost, prefix codes, state, junctions left, move index)
     heap = [(ordered(0, k)[0][0], next(seq), 0.0, (), 0, k, 0)]
@@ -415,19 +436,53 @@ def _configs_by_bound(
             )
 
 
+def _configs_by_key(
+    dag: _BoundDag, limit: float, stop: tuple[int, tuple[int, ...]]
+) -> Iterator[KnotConfig]:
+    """The configurations before ``stop`` whose bound is at most ``limit``, by ``sort_key``.
+
+    A depth-first walk of the DAG takes junction counts r = 0, 1, ... and,
+    within each, codes in increasing order. A prefix whose cost combined
+    with its least completion exceeds ``limit`` is dropped.
+    """
+    edge, W, end, least, combine, vcombine, to_bound = dag
+
+    def walk(prefix: tuple[int, ...], c: int, left: int, g: float) -> Iterator[tuple[int, ...]]:
+        if not left:
+            if to_bound(combine(g, float(end[c]))) <= limit:
+                yield prefix
+            return
+        moves = np.flatnonzero(edge[c])
+        g2 = vcombine(g, W[c, moves])
+        keep = [to_bound(h) <= limit for h in vcombine(g2, least[left - 1][moves]).tolist()]
+        for c2, g3 in zip(moves[keep].tolist(), g2[keep].tolist()):
+            yield from walk((*prefix, c2), c2, left - 1, g3)
+
+    for r in range(stop[0] + 1):
+        for codes in walk((), 0, r, 0.0):
+            if (r, codes) >= stop:
+                return
+            yield KnotConfig(tuple(map(_junction, codes)))
+
+
 def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
     """Global minimum of the discrete p-norm error over polylines with <= k knots.
 
     When mu < k+1 the data is reproduced exactly by the interpolating
-    polyline. Otherwise the chains of a configuration partition the data, so
-    a feasible configuration's error is the p-norm of its chain errors (its
-    rank), which its line-fit lower bound never exceeds. Configurations come
-    from ``_configs_by_bound`` in nondecreasing bound order; one is assembled
+    polyline, which the tie rule below does not touch. Otherwise the chains
+    of a configuration partition the data, so a feasible configuration's
+    error is the p-norm of its chain errors (its rank), which its line-fit
+    lower bound never exceeds. Configurations come from
+    ``_configs_by_bound`` in nondecreasing bound order; one is assembled
     only when its rank is within a rounding margin of the incumbent, and the
-    walk stops once the bound exceeds that margin. The winner is the exact
-    (error, sort_key) minimum, ties broken by fewer junctions then
-    lexicographically smaller configuration, exactly as if every
-    configuration were solved.
+    stream stops once the bound exceeds that margin.
+
+    Tie rule: among configurations with error at most slack = 1e-9*max|f|,
+    the least ``sort_key`` wins (fewest junctions, then lexicographic);
+    when there is none, the exact (error, sort_key) minimum wins. Once the
+    incumbent is within slack only a smaller ``sort_key`` can win, so the
+    stream is left for ``_configs_by_key`` over the same bound, and the
+    first configuration it gives that is assembled within slack wins.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -436,26 +491,39 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
         return FitResult(BrokenLine(data.x, data.f), 0.0, config)
 
     cached_fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+
+    def assemble(cfg: KnotConfig, limit: float) -> FitResult | None:
+        """The fit of ``cfg``, or None when its rank exceeds ``limit`` or it is infeasible."""
+        fits = [cached_fit(chain) for chain in cfg.chains(data.mu)]
+        if residual_norm(np.array([err for _, err in fits]), p) > limit:
+            return None
+        out = solve_config(data, cfg, p, fits)
+        return out if isinstance(out, FitResult) else None
+
     # The rank and the assembled polyline's error_norm agree up to rounding;
     # the margin keeps every configuration that could tie.
     slack = 1e-9 * float(np.max(np.abs(data.f)))
+    dag = _bound_dag(data, k, p, lambda a, b: cached_fit(ChainProblem(a, b))[1])
     best: FitResult | None = None
-    for bound, cfg in _configs_by_bound(
-        data, k, p, lambda a, b: cached_fit(ChainProblem(a, b))[1]
-    ):
+    for bound, cfg in _configs_by_bound(dag):
         limit = np.inf if best is None else best.error * (1.0 + 1e-9) + slack
         if bound > limit:
             break
-        fits = [cached_fit(chain) for chain in cfg.chains(data.mu)]
-        if residual_norm(np.array([err for _, err in fits]), p) > limit:
-            continue
-        out = solve_config(data, cfg, p, fits)
-        if isinstance(out, FitResult) and (
+        out = assemble(cfg, limit)
+        if out is not None and (
             best is None
             or (out.error, out.config.sort_key()) < (best.error, best.config.sort_key())
         ):
             best = out
+            if best.error <= slack:
+                break
     assert best is not None  # the empty configuration always succeeds
+    if best.error <= slack:
+        limit = best.error * (1.0 + 1e-9) + slack
+        for cfg in _configs_by_key(dag, limit, best.config.sort_key()):
+            out = assemble(cfg, limit)
+            if out is not None and out.error <= slack:
+                return out
     return best
 
 

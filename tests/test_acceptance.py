@@ -160,7 +160,11 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_6_zero_error_recovery():
-    """Data sampled exactly from a k-knot polyline is reproduced exactly."""
+    """Data sampled exactly from a k-knot polyline is reproduced exactly.
+
+    By the tie rule the answer's configuration comes no later in
+    ``sort_key`` order than the planted one, so it has no more junctions.
+    """
     t0 = time.time()
     rng = make_rng(600)
     ok = True
@@ -169,10 +173,11 @@ def test_criterion_6_zero_error_recovery():
         k = int(rng.integers(1, 4))
         if mu < k + 1:
             mu = k + 1
-        data, _, _ = planted_instance(rng, mu, k)
+        data, _, planted = planted_instance(rng, mu, k)
         scale = 1.0 + float(np.max(np.abs(data.f)))
         result = best_fit(data, k, NORMS[i % 3])
         ok &= result.error <= 1e-10 * scale
+        ok &= result.config.sort_key() <= planted.sort_key()
     report("6 (zero-error recovery)", ok, time.time() - t0, 120.0)
 
 

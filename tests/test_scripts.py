@@ -44,3 +44,16 @@ def test_answer_digest_repeats():
     ]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_answer_digest_lists_answers():
+    plain = run_script("answer_digest.py", "--quick", "--seed", "3")
+    listed = run_script("answer_digest.py", "--quick", "--seed", "3", "--answers")
+    assert listed.returncode == 0, listed.stderr
+    lines = [line.split() for line in listed.stdout.splitlines()]
+    digests = [" ".join(fields) for fields in lines if len(fields[2]) == 64]
+    assert digests == plain.stdout.splitlines()
+    answers = [fields for fields in lines if len(fields[2]) == 16]
+    assert len(answers) == sum(int(line.split()[1]) for line in digests)
+    first = answers[0]
+    assert first[:2] == ["best_fit", "0"] and float.fromhex(first[3]) >= 0.0 and first[4]

@@ -28,7 +28,9 @@ from brokenline.norms import pow2_above, residual_norm
 from brokenline.solver import (
     _LINE_TABLES,
     _batched_design,
+    _bound_dag,
     _configs_by_bound,
+    _configs_by_key,
     _lower_bound,
     _lp_errors_batch,
     _oracle_errors,
@@ -246,6 +248,52 @@ class TestBestFit:
         assert len(streamed) - 1 <= len(split) and split == streamed[: len(split)]
         assert len(split) > 100
 
+    @pytest.mark.parametrize("epoch", [False, True])
+    @pytest.mark.parametrize("p", NORMS)
+    def test_line_planted_gets_no_junction(self, p, epoch):
+        # Every configuration fits a line within slack, so the tie rule
+        # picks the one with the fewest junctions.
+        data = planted_instance(make_rng(20), 20, 2)[0]
+        if epoch:
+            data = DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0)
+        assert best_fit(data, 2, p).config == KnotConfig()
+
+    def test_exact_incumbent_leaves_the_stream(self, monkeypatch):
+        # Once the incumbent fits within slack the stream stops, and the walk
+        # yields only configurations with a smaller sort_key, so no answer
+        # is assembled twice. On a line the walk assembles one configuration.
+        popped, walked, assembled = [], [], []
+        stream, walk = brokenline.solver._configs_by_bound, brokenline.solver._configs_by_key
+        solve = brokenline.solver.solve_config
+
+        def counted_stream(*args):
+            for bound, config in stream(*args):
+                popped.append(config)
+                yield bound, config
+
+        def counted_walk(*args):
+            for config in walk(*args):
+                walked.append(config)
+                yield config
+
+        def counted_solve(data, config, *args):
+            assembled.append(config)
+            return solve(data, config, *args)
+
+        monkeypatch.setattr(brokenline.solver, "_configs_by_bound", counted_stream)
+        monkeypatch.setattr(brokenline.solver, "_configs_by_key", counted_walk)
+        monkeypatch.setattr(brokenline.solver, "solve_config", counted_solve)
+        best_fit(planted_instance(make_rng(20), 20, 2)[0], 2, PNorm.two())
+        assert len(popped) <= 50 and walked == [KnotConfig()]
+        assert assembled == popped + walked
+        for p in NORMS:
+            walked.clear()
+            assembled.clear()
+            data, _, config = planted_instance(make_rng(26), 9, 3)
+            result = best_fit(data, 3, p)
+            assert result.config == config and assembled.count(config) == 1
+            assert all(c.sort_key() < config.sort_key() for c in walked)
+
     def test_interpolation_shortcut(self):
         data = DataSet([0.0, 1.0, 2.0], [0.3, -0.4, 0.9])
         result = best_fit(data, 2, PNorm.one())
@@ -294,9 +342,12 @@ class TestBestFit:
             assert result.spline.knot_count <= 2
 
     def test_fixed_knot_consistency(self):
-        # Exhaustive reference: solve every configuration and take the
-        # (error, sort_key) minimum; the search must return it bit-for-bit.
-        # Planted data makes many configurations tie at zero error.
+        # Exhaustive reference: solve every configuration and apply the tie
+        # rule. If any error is within slack = 1e-9*max|f|, the least
+        # sort_key among those wins; otherwise the (error, sort_key) minimum
+        # does. The search must return it bit-for-bit. Planted data makes
+        # many configurations tie at zero error; the line-planted case and
+        # its epoch-scale copy tie at every junction count.
         # The random mu=7, k=3 case lets the bound prune most configurations;
         # its f x 1e-13 copy checks that the pruning is scale-free.
         rng = make_rng(53)
@@ -304,6 +355,8 @@ class TestBestFit:
         cases += [(planted_instance(rng, mu, k)[0], k) for mu, k in ((5, 2), (4, 3))]
         wide = random_dataset(make_rng(58), 7)
         cases += [(wide, 3), (DataSet(wide.x, 1e-13 * wide.f), 3)]
+        line = planted_instance(rng, 6, 0)[0]
+        cases += [(line, 2), (DataSet(60.0 * line.x + 1.7e9, -2.5 * line.f + 100.0), 2)]
         for p in NORMS + [PNorm.general(1.5), PNorm.general(3.0)]:
             for data, k in cases:
                 result = best_fit(data, k, p)
@@ -314,9 +367,12 @@ class TestBestFit:
                     solve_config(data, c, p, [fit(chain) for chain in c.chains(data.mu)])
                     for c in enumerate_configs(data.mu, k)
                 ]
+                feasible = [out for out in outcomes if isinstance(out, FitResult)]
+                slack = 1e-9 * float(np.max(np.abs(data.f)))
+                exact = [out for out in feasible if out.error <= slack]
                 ref = min(
-                    (out for out in outcomes if isinstance(out, FitResult)),
-                    key=lambda out: (out.error, out.config.sort_key()),
+                    exact or feasible,
+                    key=lambda out: (0.0 if exact else out.error, out.config.sort_key()),
                 )
                 assert result.error == ref.error
                 assert result.config == ref.config
@@ -350,9 +406,11 @@ class TestBestFit:
     def test_stream_matches_enumeration(self):
         # The best-first stream yields exactly the enumerated configurations
         # whose bound is at or below a cut-off, with the same bounds, in
-        # nondecreasing bound order. At p in {1, 2, inf} both sides read the
-        # closed-form line table, which test_p2_line_table_matches_fit_chain
-        # and test_lp_line_tables_match_fit_chain check.
+        # nondecreasing bound order. The walk over the same tables yields
+        # exactly those before a stop configuration, in sort_key order. At
+        # p in {1, 2, inf} both sides read the closed-form line table, which
+        # test_p2_line_table_matches_fit_chain and
+        # test_lp_line_tables_match_fit_chain check.
         rng = make_rng(59)
         cases = [(random_dataset(rng, 7), 3), (smooth_dataset(rng, 6), 2)]
         cases += [(planted_instance(rng, 5, 2)[0], 2)]
@@ -373,11 +431,17 @@ class TestBestFit:
                     i for i in range(len(values) // 2, len(values) - 1)
                     if values[i + 1] > values[i] * (1.0 + 1e-9)
                 )
+                dag = _bound_dag(data, k, p, line_error)
+                stop = sorted(ref, key=KnotConfig.sort_key)[2 * len(ref) // 3].sort_key()
                 for cutoff in (0.5 * (values[mid] + values[mid + 1]), np.inf):
+                    walked = list(_configs_by_key(dag, cutoff, stop))
+                    assert walked == sorted(
+                        (c for c, b in ref.items() if b <= cutoff and c.sort_key() < stop),
+                        key=KnotConfig.sort_key,
+                    )
                     got = list(
                         itertools.takewhile(
-                            lambda entry: entry[0] <= cutoff,
-                            _configs_by_bound(data, k, p, line_error),
+                            lambda entry: entry[0] <= cutoff, _configs_by_bound(dag)
                         )
                     )
                     bounds = [bound for bound, _ in got]
