@@ -6,13 +6,14 @@ gaps, every piece covering two data abscissae), solves each configuration by
 decoupled chain fits, and checks the free gap knots by intersecting the two
 adjacent chain-boundary lines. Configurations whose intersection leaves the
 open gap are dominated by data-knot configurations, which the enumeration
-covers, so discarding them never loses the optimum. Configurations are
-streamed lazily in nondecreasing order of a line-fit lower bound, and only
-those that can still beat or tie the incumbent are fitted and assembled (see
-``_configs_by_bound`` and ``best_fit``). Among fits within the search's margin
-1e-9*max|f| the fewest junctions win, then the lexicographically smallest, so
-an incumbent within it ends the stream, and a walk in that order with the
-same bound (``_configs_by_key``) looks only for a smaller such configuration.
+covers, so discarding them never loses the optimum. Among fits within the
+search's margin 1e-9*max|f| the fewest junctions win, then the
+lexicographically smallest. So ``best_fit`` first walks, in that order, the
+configurations whose line-fit lower bound could admit such a fit
+(``_configs_by_key``), and stops at the first that does. Otherwise it streams
+the rest lazily in nondecreasing bound order (``_configs_by_bound``). Each
+configuration is offered once, and fitted and assembled only when it can
+still beat or tie the incumbent.
 
 A brute-force grid oracle provides an independent upper bound on the minimum
 for cross-checking; its inner fits run on separate batched machinery (normal
@@ -436,12 +437,10 @@ def _configs_by_bound(dag: _BoundDag) -> Iterator[tuple[float, KnotConfig]]:
             )
 
 
-def _configs_by_key(
-    dag: _BoundDag, limit: float, stop: tuple[int, tuple[int, ...]]
-) -> Iterator[KnotConfig]:
-    """The configurations before ``stop`` whose bound is at most ``limit``, by ``sort_key``.
+def _configs_by_key(dag: _BoundDag, limit: float) -> Iterator[KnotConfig]:
+    """The configurations whose bound is at most ``limit``, by ``sort_key``.
 
-    A depth-first walk of the DAG takes junction counts r = 0, 1, ... and,
+    A depth-first walk of the DAG takes junction counts r = 0, 1, ..., k and,
     within each, codes in increasing order. A prefix whose cost combined
     with its least completion exceeds ``limit`` is dropped.
     """
@@ -458,10 +457,8 @@ def _configs_by_key(
         for c2, g3 in zip(moves[keep].tolist(), g2[keep].tolist()):
             yield from walk((*prefix, c2), c2, left - 1, g3)
 
-    for r in range(stop[0] + 1):
+    for r in range(len(least)):
         for codes in walk((), 0, r, 0.0):
-            if (r, codes) >= stop:
-                return
             yield KnotConfig(tuple(map(_junction, codes)))
 
 
@@ -472,17 +469,18 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
     polyline, which the tie rule below does not touch. Otherwise the chains
     of a configuration partition the data, so a feasible configuration's
     error is the p-norm of its chain errors (its rank), which its line-fit
-    lower bound never exceeds. Configurations come from
-    ``_configs_by_bound`` in nondecreasing bound order; one is assembled
-    only when its rank is within a rounding margin of the incumbent, and the
-    stream stops once the bound exceeds that margin.
+    lower bound never exceeds. Every configuration goes through one offer:
+    it is assembled only when its rank is within a rounding margin of the
+    incumbent, which is the (error, sort_key) minimum of those assembled.
 
     Tie rule: among configurations with error at most slack = 1e-9*max|f|,
     the least ``sort_key`` wins (fewest junctions, then lexicographic);
-    when there is none, the exact (error, sort_key) minimum wins. Once the
-    incumbent is within slack only a smaller ``sort_key`` can win, so the
-    stream is left for ``_configs_by_key`` over the same bound, and the
-    first configuration it gives that is assembled within slack wins.
+    when there is none, the exact (error, sort_key) minimum wins. Every fit
+    within slack has a bound within the margin of an incumbent at slack, so
+    when some bound is, ``_configs_by_key`` first offers the configurations
+    with such a bound in ``sort_key`` order, and the first fit within slack
+    wins. Otherwise ``_configs_by_bound`` offers the configurations not yet
+    offered in nondecreasing bound order, until a bound exceeds the margin.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -491,39 +489,41 @@ def best_fit(data: DataSet, k: int, p: PNorm) -> FitResult:
         return FitResult(BrokenLine(data.x, data.f), 0.0, config)
 
     cached_fit = functools.cache(lambda chain: fit_chain(data, chain, p))
-
-    def assemble(cfg: KnotConfig, limit: float) -> FitResult | None:
-        """The fit of ``cfg``, or None when its rank exceeds ``limit`` or it is infeasible."""
-        fits = [cached_fit(chain) for chain in cfg.chains(data.mu)]
-        if residual_norm(np.array([err for _, err in fits]), p) > limit:
-            return None
-        out = solve_config(data, cfg, p, fits)
-        return out if isinstance(out, FitResult) else None
-
     # The rank and the assembled polyline's error_norm agree up to rounding;
     # the margin keeps every configuration that could tie.
     slack = 1e-9 * float(np.max(np.abs(data.f)))
-    dag = _bound_dag(data, k, p, lambda a, b: cached_fit(ChainProblem(a, b))[1])
+    margin = lambda error: error * (1.0 + 1e-9) + slack  # noqa: E731
     best: FitResult | None = None
+
+    def offer(cfg: KnotConfig) -> None:
+        nonlocal best
+        fits = [cached_fit(chain) for chain in cfg.chains(data.mu)]
+        rank = residual_norm(np.array([err for _, err in fits]), p)
+        if best is None or rank <= margin(best.error):
+            out = solve_config(data, cfg, p, fits)
+            if isinstance(out, FitResult) and (
+                best is None
+                or (out.error, out.config.sort_key()) < (best.error, best.config.sort_key())
+            ):
+                best = out
+
+    dag = _bound_dag(data, k, p, lambda a, b: cached_fit(ChainProblem(a, b))[1])
+    walked: set[KnotConfig] = set()
+    if dag.to_bound(dag.least[-1][0]) <= margin(slack):
+        for cfg in _configs_by_key(dag, margin(slack)):
+            walked.add(cfg)
+            offer(cfg)
+            if best is not None and best.error <= slack:
+                return best
+    # The stream clamps its keys and sums in another order than the walk,
+    # so a bound near margin(slack) may fall on either side of it there;
+    # skipping what the walk offered, rather than by bound, loses nothing.
     for bound, cfg in _configs_by_bound(dag):
-        limit = np.inf if best is None else best.error * (1.0 + 1e-9) + slack
-        if bound > limit:
+        if best is not None and bound > margin(best.error):
             break
-        out = assemble(cfg, limit)
-        if out is not None and (
-            best is None
-            or (out.error, out.config.sort_key()) < (best.error, best.config.sort_key())
-        ):
-            best = out
-            if best.error <= slack:
-                break
+        if cfg not in walked:
+            offer(cfg)
     assert best is not None  # the empty configuration always succeeds
-    if best.error <= slack:
-        limit = best.error * (1.0 + 1e-9) + slack
-        for cfg in _configs_by_key(dag, limit, best.config.sort_key()):
-            out = assemble(cfg, limit)
-            if out is not None and out.error <= slack:
-                return out
     return best
 
 

@@ -258,10 +258,12 @@ class TestBestFit:
             data = DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0)
         assert best_fit(data, 2, p).config == KnotConfig()
 
-    def test_exact_incumbent_leaves_the_stream(self, monkeypatch):
-        # Once the incumbent fits within slack the stream stops, and the walk
-        # yields only configurations with a smaller sort_key, so no answer
-        # is assembled twice. On a line the walk assembles one configuration.
+    def test_exact_fits_are_walked_first_and_assembled_once(self, monkeypatch):
+        # When some bound admits a fit within slack, the walk offers those
+        # configurations in sort_key order before the stream pops any, and
+        # the first fit within slack wins. Otherwise the stream decides, and
+        # it skips what the walk offered, so no configuration is assembled
+        # twice. On a line the walk assembles one configuration.
         popped, walked, assembled = [], [], []
         stream, walk = brokenline.solver._configs_by_bound, brokenline.solver._configs_by_key
         solve = brokenline.solver.solve_config
@@ -280,19 +282,26 @@ class TestBestFit:
             assembled.append(config)
             return solve(data, config, *args)
 
+        def run(data, k, p):
+            for log in (popped, walked, assembled):
+                log.clear()
+            result = best_fit(data, k, p)
+            assert len(assembled) == len(set(assembled))
+            return result
+
         monkeypatch.setattr(brokenline.solver, "_configs_by_bound", counted_stream)
         monkeypatch.setattr(brokenline.solver, "_configs_by_key", counted_walk)
         monkeypatch.setattr(brokenline.solver, "solve_config", counted_solve)
-        best_fit(planted_instance(make_rng(20), 20, 2)[0], 2, PNorm.two())
-        assert len(popped) <= 50 and walked == [KnotConfig()]
-        assert assembled == popped + walked
+        run(planted_instance(make_rng(20), 20, 2)[0], 2, PNorm.two())
+        assert popped == [] and walked == assembled == [KnotConfig()]
+        data, _, config = planted_instance(make_rng(26), 9, 3)
         for p in NORMS:
-            walked.clear()
-            assembled.clear()
-            data, _, config = planted_instance(make_rng(26), 9, 3)
-            result = best_fit(data, 3, p)
-            assert result.config == config and assembled.count(config) == 1
-            assert all(c.sort_key() < config.sort_key() for c in walked)
+            assert run(data, 3, p).config == config and popped == []
+            assert all(c.sort_key() <= config.sort_key() for c in walked)
+        run(random_dataset(make_rng(0), 6), 3, PNorm.two())
+        assert walked and popped
+        run(random_dataset(make_rng(123), 12), 3, PNorm.two())
+        assert walked == []
 
     def test_interpolation_shortcut(self):
         data = DataSet([0.0, 1.0, 2.0], [0.3, -0.4, 0.9])
@@ -357,6 +366,8 @@ class TestBestFit:
         cases += [(wide, 3), (DataSet(wide.x, 1e-13 * wide.f), 3)]
         line = planted_instance(rng, 6, 0)[0]
         cases += [(line, 2), (DataSet(60.0 * line.x + 1.7e9, -2.5 * line.f + 100.0), 2)]
+        # The walk finds no fit within slack on these, and the stream decides.
+        cases += [(random_dataset(make_rng(0), 4), 2), (random_dataset(make_rng(0), 6), 3)]
         for p in NORMS + [PNorm.general(1.5), PNorm.general(3.0)]:
             for data, k in cases:
                 result = best_fit(data, k, p)
@@ -407,7 +418,7 @@ class TestBestFit:
         # The best-first stream yields exactly the enumerated configurations
         # whose bound is at or below a cut-off, with the same bounds, in
         # nondecreasing bound order. The walk over the same tables yields
-        # exactly those before a stop configuration, in sort_key order. At
+        # exactly the same configurations, in sort_key order. At
         # p in {1, 2, inf} both sides read the closed-form line table, which
         # test_p2_line_table_matches_fit_chain and
         # test_lp_line_tables_match_fit_chain check.
@@ -432,12 +443,10 @@ class TestBestFit:
                     if values[i + 1] > values[i] * (1.0 + 1e-9)
                 )
                 dag = _bound_dag(data, k, p, line_error)
-                stop = sorted(ref, key=KnotConfig.sort_key)[2 * len(ref) // 3].sort_key()
                 for cutoff in (0.5 * (values[mid] + values[mid + 1]), np.inf):
-                    walked = list(_configs_by_key(dag, cutoff, stop))
+                    walked = list(_configs_by_key(dag, cutoff))
                     assert walked == sorted(
-                        (c for c, b in ref.items() if b <= cutoff and c.sort_key() < stop),
-                        key=KnotConfig.sort_key,
+                        (c for c, b in ref.items() if b <= cutoff), key=KnotConfig.sort_key
                     )
                     got = list(
                         itertools.takewhile(
@@ -594,6 +603,24 @@ class TestBestFit:
             key=lambda out: (out.error, out.config.sort_key()),
         )
         assert (result.error, result.config.sort_key()) == (ref.error, ref.config.sort_key())
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="suspected: _newton_fit stops at an absolute gradient norm of 1e-10, which "
+        "p*|r|^(p-1) undercuts once the scaled residuals are below 1, short of the optimum",
+    )
+    @pytest.mark.parametrize("epoch", [False, True])
+    @pytest.mark.parametrize("P", [20.0, 50.0])
+    def test_large_p_reaches_the_minimax_witness(self, P, epoch):
+        # The best l_inf polyline is a witness: the p-norm minimum is at most
+        # its p-norm error. Fits at p = 20 read 0.0934 against its 0.0749.
+        data = smooth_dataset(make_rng(0), 6)
+        if epoch:
+            data = DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0)
+        p = PNorm.general(P)
+        witness = best_fit(data, 2, PNorm.infinity()).spline
+        assert best_fit(data, 2, p).error <= error_norm(data, witness, p) * (1.0 + 1e-9)
 
     def test_scale_smoke(self):
         # 7061629 configurations at k=4; the stream reaches the optimum
