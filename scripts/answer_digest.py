@@ -17,13 +17,18 @@ can be checked by running this script on both versions. Sections:
   with mu 13-40 and k 1-3, each at unit scale and at the affine scale above.
   Their p = 2 line tables are wider than best_fit's, and at mu = 40 they
   take two chunks.
+- chain_fits: 2000 fit_chain answers (breakpoint values and error bytes) at
+  p in {1, inf}, on noise, on an integer grid and on noise at the affine
+  scale above, with mu 0-20 and 0-3 knots. best_fit keeps only the winners'
+  chain fits, so this is what sees a changed LP vertex on any other chain.
 
 An answer that raises is recorded by the exception's type name. --quick
 runs a small slice of every section in a few seconds. --answers also prints
 one line per answer before its section's digest: section, index, the first
 16 hex digits of the answer's sha256, then the error in hex and the
-configuration (a best_fit answer), the value in hex (grid_oracle) or the
-exception's name. Two versions can then be diffed answer by answer.
+configuration (a best_fit answer), the value in hex (grid_oracle), the
+error in hex (chain_fits) or the exception's name. Two versions can then be
+diffed answer by answer.
 
     PYTHONPATH=src python scripts/answer_digest.py [--seed N] [--quick] [--answers]
 """
@@ -34,7 +39,16 @@ import struct
 
 import numpy as np
 
-from brokenline import BrokenLine, DataSet, PNorm, best_fit, grid_oracle, regularize
+from brokenline import (
+    BrokenLine,
+    ChainProblem,
+    DataSet,
+    PNorm,
+    best_fit,
+    fit_chain,
+    grid_oracle,
+    regularize,
+)
 from generate_instance import KINDS, make_dataset
 
 NORMS = [PNorm.one(), PNorm.two(), PNorm.infinity(), PNorm.general(1.5), PNorm.general(3.0)]
@@ -55,6 +69,8 @@ def answer(fn, *args) -> tuple[str, bytes]:
         return "", out.t.tobytes() + out.v.tobytes()
     if isinstance(out, float):
         return out.hex(), struct.pack("<d", out)
+    if isinstance(out, tuple):  # fit_chain's (polyline, error)
+        return out[1].hex(), out[0].v.tobytes() + struct.pack("<d", out[1])
     spline = out.spline.t.tobytes() + out.spline.v.tobytes()
     label = f"{out.error.hex()} {out.config}"
     return label, f"{label} {out.proper_knot_count} ".encode() + spline
@@ -112,11 +128,29 @@ def regularize_answers(rng: np.random.Generator, pairs: int):
         yield answer(regularize, *grid_pair(rng))
 
 
+def chain_fit_answers(rng: np.random.Generator, chains: int):
+    for i in range(chains):
+        mu, p = int(rng.integers(0, 21)), (PNorm.one(), PNorm.infinity())[i % 2]
+        if i % 3 == 1:
+            data = DataSet(np.arange(mu + 2.0), rng.integers(-3, 4, mu + 2).astype(float))
+        else:
+            data = make_dataset(rng, "noise", mu)
+            data = affine(data) if i % 3 == 2 else data
+        knots = rng.choice(np.arange(1, mu + 1), min(int(rng.integers(0, 4)), mu), replace=False)
+        yield answer(fit_chain, data, ChainProblem(0, mu + 1, tuple(sorted(map(int, knots)))), p)
+
+
 def sections(seed: int, quick: bool):
     """(name, answers) per section; each section draws from its own generator."""
-    sizes = (12, 5, 50, 3) if quick else (210, 50, 3000, 60)
-    names = ("best_fit", "grid_oracle", "regularize", "best_fit_p2_wide")
-    makers = (best_fit_answers, oracle_answers, regularize_answers, best_fit_p2_wide_answers)
+    sizes = (12, 5, 50, 3, 50) if quick else (210, 50, 3000, 60, 2000)
+    names = ("best_fit", "grid_oracle", "regularize", "best_fit_p2_wide", "chain_fits")
+    makers = (
+        best_fit_answers,
+        oracle_answers,
+        regularize_answers,
+        best_fit_p2_wide_answers,
+        chain_fit_answers,
+    )
     for i, (name, make, size) in enumerate(zip(names, makers, sizes)):
         yield name, make(np.random.default_rng([seed, i]), size)
 

@@ -73,9 +73,9 @@ class BrokenLine:
             raise ValueError("abscissae and values must be parallel 1-d sequences")
         if len(self.t) < 2:
             raise ValueError("need at least two points")
-        if not np.all(np.isfinite(self.t)) or not np.all(np.isfinite(self.v)):
+        if not (np.isfinite(self.t).all() and np.isfinite(self.v).all()):
             raise ValueError("abscissae and values must be finite")
-        if not np.all(np.diff(self.t) > 0):
+        if not (self.t[1:] > self.t[:-1]).all():
             raise ValueError("abscissae must be strictly increasing")
 
     @property

@@ -68,12 +68,12 @@ def hat_design(xs: np.ndarray, bps: np.ndarray) -> np.ndarray:
     covering it; an abscissa lying bit-equal on a breakpoint gets weight one
     there, because its w is exactly 0.
     """
-    n, d = len(xs), len(bps)
-    A = np.zeros((n, d))
-    piece = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, d - 2)
+    rows = np.arange(len(xs))
+    A = np.zeros((len(xs), len(bps)))
+    piece = np.searchsorted(bps[1:-1], xs, side="right")  # inner breakpoints <= x: 0 .. d-2
     w = (xs - bps[piece]) / (bps[piece + 1] - bps[piece])
-    A[np.arange(n), piece] = 1.0 - w
-    A[np.arange(n), piece + 1] = w
+    A[rows, piece] = 1.0 - w
+    A[rows, piece + 1] = w
     return A
 
 
@@ -140,40 +140,44 @@ def _lp_fit(A: np.ndarray, fs: np.ndarray, p: PNorm) -> np.ndarray:
     The simplex starts at beta = 0 with each eps basic in the tight row of
     its pair (Barrodale & Roberts, 1973): for l_1, eps_i in row i if
     f_i < 0, else in row n+i; for l_inf, the one eps in the row of least
-    right-hand side. The tableau is written there directly: each tight row
-    is negated, the rows it binds (its pair row, or for l_inf every other
-    row) have it subtracted, and the objective row is c minus the negated
-    tight rows, accumulated in row order. That is what pivots on the -1
-    entries of the eps columns would give, value for value, so the start
-    right-hand sides (|f_i| and 2|f_i|, or b - min b) are never negative.
-    Negation is written ``0.0 - row`` so that its zeros are +0, as after a
-    pivot; the l_inf tableau then matches the pivoted one bit for bit.
+    right-hand side. The tableau, objective row last, is written there
+    directly: each tight row is negated, the rows it binds (its pair row, or
+    for l_inf every other row) have it subtracted, and the objective row is
+    c minus the negated tight rows, accumulated in row order. That is what
+    pivots on the -1 entries of the eps columns would give, value for value,
+    so the start right-hand sides (|f_i| and 2|f_i|, or b - min b) are never
+    negative. Negation is written ``0.0 - row`` so that its zeros are +0, as
+    after a pivot; the l_inf tableau then matches the pivoted one bit for
+    bit. The slack identity and the eps columns' -1s are diagonals of the
+    row-major constraint rows, written through strided views of their
+    ``reshape``, not index arrays.
     """
     n, d = A.shape
     n_eps = 1 if p.is_infinity else n
     m, slack = 2 * n, 2 * d + n_eps
-    T = np.zeros((m, slack + m + 1))
+    width = slack + m + 1
+    tableau = np.zeros((m + 1, width))
+    T, obj = tableau[:m], tableau[m]
     T[:n, :d] = T[n:, d : 2 * d] = A
     T[:n, d : 2 * d] = T[n:, :d] = -A
-    T[np.arange(m), 2 * d + np.arange(m) % n_eps] = -1.0
-    T[np.arange(m), slack + np.arange(m)] = 1.0
+    T.reshape(m // n_eps, -1)[:, 2 * d :: width + 1] = -1.0
+    T.reshape(-1)[slack :: width + 1] = 1.0
     T[:n, -1] = fs
     T[n:, -1] = -fs
-    if p.is_infinity:
-        tight = np.argmin(T[:, -1:], axis=0)
-        bound = np.flatnonzero(np.arange(m) != tight[0])
+    if p.is_infinity:  # every row is bound; the tight one is rewritten below
+        tight, bound = np.argmin(T[:, -1:], axis=0), slice(None)
     else:
         rows = np.arange(n)
         tight = np.where(fs < 0, rows, rows + n)
         bound = np.where(fs < 0, rows + n, rows)
-    T[bound] -= T[tight]
-    T[tight] = 0.0 - T[tight]
-    obj = np.zeros(slack + m + 1)
+    tight_rows = T[tight]
+    T[bound] -= tight_rows
+    T[tight] = tight_rows = 0.0 - tight_rows
     obj[2 * d : slack] = 1.0
-    obj -= np.add.accumulate(T[tight], axis=0)[-1]
+    obj -= np.add.accumulate(tight_rows, axis=0)[-1]
     basis = slack + np.arange(m)
     basis[tight] = 2 * d + np.arange(n_eps)
-    x = solve_lp(T, obj, basis)
+    x = solve_lp(tableau, basis)
     return x[:d] - x[d : 2 * d]
 
 

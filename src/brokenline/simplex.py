@@ -1,10 +1,13 @@
-"""Dense tableau simplex with Bland's rule for the tiny fitting LPs.
+"""Dense tableau simplex with Bland's rule for the fitting LPs.
 
-The fitting problems here have a few dozen rows at most, so a dense tableau is
-plenty. There is no auxiliary phase: the caller writes the tableau at a
-feasible vertex it knows. Bland's anti-cycling rule makes the returned vertex
-deterministic, which pins down a canonical minimizer whenever the l_1 / l_inf
-fit is not unique.
+A chain on n points gives 2n rows (1004 at mu = 500), but most chains are
+short, so numpy's per-call overhead, not arithmetic, sets a pivot's cost: each
+pivot takes one scan for the entering column, one sort for the ratio test and
+one broadcast update of the whole tableau, objective row included. There is
+no auxiliary phase: the caller writes the tableau at a feasible vertex it
+knows. Bland's anti-cycling rule makes the returned vertex deterministic,
+which pins down a canonical minimizer whenever the l_1 / l_inf fit is not
+unique.
 """
 
 from __future__ import annotations
@@ -12,53 +15,50 @@ from __future__ import annotations
 import numpy as np
 
 _TOL = 1e-9  # pivot entries and reduced costs; the fitting LPs' c and A are unit-free
-_MAX_ITER = 20000
+_MAX_ITER = 20000  # pivots
 
 
 class SimplexError(RuntimeError):
     """Infeasible start, unbounded LP, or iteration limit hit."""
 
 
-def _pivot(T: np.ndarray, obj: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    prow = T[row]
+    prow /= prow[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    obj -= obj[col] * T[row]
+    T -= factors[:, None] * prow
 
 
-def _iterate(T: np.ndarray, obj: np.ndarray, basis: np.ndarray) -> None:
-    for _ in range(_MAX_ITER):
-        entering = np.flatnonzero(obj[:-1] < -_TOL)
-        if len(entering) == 0:
-            return
-        j = int(entering[0])  # Bland: smallest eligible index
-        col = T[:, j]
-        rows = np.flatnonzero(col > _TOL)
-        if len(rows) == 0:
-            raise SimplexError("LP is unbounded")
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios == best]
-        leave = int(ties[np.argmin(basis[ties])])  # Bland: smallest basis index
-        _pivot(T, obj, leave, j)
-        basis[leave] = j
-    raise SimplexError("simplex iteration limit exceeded")
-
-
-def solve_lp(T: np.ndarray, obj: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def solve_lp(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Minimize from a tableau written at a feasible vertex.
 
-    ``T`` holds one row per constraint, one column per variable (slacks
-    included) and the right-hand side last; ``obj`` holds the reduced costs
-    and minus the objective value last; ``basis[r]`` is the variable basic in
-    row ``r``. All three are updated in place. A negative right-hand side
-    raises :class:`SimplexError`. Returns the optimal vertex over every
-    column of ``T`` but the last.
+    ``T`` holds one row per constraint and the objective row last, one column
+    per variable (slacks included) and the right-hand side last; the
+    objective row holds the reduced costs and minus the objective value.
+    ``basis[r]`` is the variable basic in constraint row ``r``. Both are
+    updated in place. A negative right-hand side raises
+    :class:`SimplexError`. Returns the optimal vertex over every column of
+    ``T`` but the last.
     """
-    if (T[:, -1] < 0.0).any():
+    rhs, rc = T[:-1, -1], T[-1, :-1]
+    if (rhs < 0.0).any():
         raise SimplexError("start is not a feasible vertex")
-    _iterate(T, obj, basis)
+    for pivots in range(_MAX_ITER + 1):
+        eligible = rc < -_TOL
+        j = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[j]:
+            break
+        if pivots == _MAX_ITER:
+            raise SimplexError("simplex iteration limit exceeded")
+        col = T[:-1, j]
+        rows = (col > _TOL).nonzero()[0]
+        if not len(rows):
+            raise SimplexError("LP is unbounded")
+        # Bland: least ratio, ties to the smallest basis label
+        leave = int(rows[np.lexsort((basis[rows], rhs[rows] / col[rows]))[0]])
+        _pivot(T, leave, j)
+        basis[leave] = j
     x = np.zeros(T.shape[1] - 1)
-    x[basis] = T[:, -1]
+    x[basis] = rhs
     return x

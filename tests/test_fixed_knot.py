@@ -13,9 +13,9 @@ from brokenline import (
     fit_line,
     residual_norm,
 )
-from brokenline import fixed_knot
+from brokenline import fixed_knot, simplex
 from brokenline.fixed_knot import hat_design
-from brokenline.simplex import SimplexError, _pivot, solve_lp
+from brokenline.simplex import _TOL, SimplexError, _pivot, solve_lp
 
 from conftest import make_rng, random_dataset
 
@@ -28,22 +28,22 @@ CHAIN_GOLDEN = 0.408248290463863
 def pivoted_start(c, A, b, start=()):
     """Slack tableau of min c @ x, A @ x <= b, x >= 0, taken through ``start``.
 
-    ``start`` lists (row, column) pivots made with the simplex's own
-    ``_pivot``. Taken through the start pivots of ``fitting_lp``, this is
-    the reference for the tableau ``_lp_fit`` writes in closed form.
+    Returns the tableau, objective row last, and the basis. ``start`` lists
+    (row, column) pivots made with the simplex's own ``_pivot``. Taken
+    through the start pivots of ``fitting_lp``, this is the reference for
+    the tableau ``_lp_fit`` writes in closed form.
     """
     m, n = A.shape
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
     T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:, -1] = b
-    obj = np.zeros(n + m + 1)
-    obj[:n] = c
+    T[:m, -1] = b
+    T[m, :n] = c
     basis = n + np.arange(m)
     for row, col in start:
-        _pivot(T, obj, row, col)
+        _pivot(T, row, col)
         basis[row] = col
-    return T, obj, basis
+    return T, basis
 
 
 def fitting_lp(A, fs, p):
@@ -60,12 +60,153 @@ def fitting_lp(A, fs, p):
     return c, A_ub, b_ub, start
 
 
+def seeded_hat_lps():
+    """(A, fs) of 120 seeded hat-design fitting LPs with n = 3..10 points.
+
+    Integer f gives exact zeros, which pick the tight row, and ties for the
+    l_inf argmin row and in the ratio test; half the cases sit at epoch-sized
+    x, and every tenth has -0.0 entries in f.
+    """
+    rng = make_rng(63)
+    for case in range(120):
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(0, min(3, n - 2) + 1))
+        xs = np.cumsum(rng.uniform(0.5, 1.5, n))
+        if case % 2:
+            xs = 60.0 * xs + 1.7e9
+        fs = rng.uniform(-1.0, 1.0, n)
+        if case % 3:
+            fs = rng.integers(-1, 2, n).astype(float)
+        if case % 10 == 9:
+            fs[rng.integers(0, n, 2)] = -0.0
+        knots = sorted(rng.choice(np.arange(1, n - 1), k, replace=False))
+        yield hat_design(xs, xs[[0, *knots, n - 1]]), fs
+
+
+def outer_pivot(T, obj, row, col):
+    """One pivot with an ``np.outer`` update, the reference for ``simplex._pivot``."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    obj -= obj[col] * T[row]
+
+
+def bland_reference(T, obj, basis):
+    """Bland's rule step by step, the reference for ``solve_lp``.
+
+    The constraint rows ``T`` and the objective row ``obj`` are separate
+    arrays; each step scans with ``flatnonzero``, breaks ratio ties by
+    ``min`` then ``argmin`` and pivots with ``outer_pivot``. Updates all three
+    in place and returns the vertex, the number of pivots and how many of
+    them the smallest-basis-label rule sent to a row other than the first of
+    the tied ratios.
+    """
+    pivots = label_picks = 0
+    while True:
+        entering = np.flatnonzero(obj[:-1] < -_TOL)
+        if len(entering) == 0:
+            break
+        j = int(entering[0])
+        col = T[:, j]
+        rows = np.flatnonzero(col > _TOL)
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        leave = int(ties[np.argmin(basis[ties])])
+        label_picks += leave != ties[0]
+        outer_pivot(T, obj, leave, j)
+        basis[leave] = j
+        pivots += 1
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:, -1]
+    return x, pivots, label_picks
+
+
+def fancy_index_start(A, fs, p):
+    """``_lp_fit``'s start tableau with index arrays for the diagonals, its reference."""
+    n, d = A.shape
+    n_eps = 1 if p.is_infinity else n
+    m, slack = 2 * n, 2 * d + n_eps
+    T = np.zeros((m, slack + m + 1))
+    T[:n, :d] = T[n:, d : 2 * d] = A
+    T[:n, d : 2 * d] = T[n:, :d] = -A
+    T[np.arange(m), 2 * d + np.arange(m) % n_eps] = -1.0
+    T[np.arange(m), slack + np.arange(m)] = 1.0
+    T[:n, -1] = fs
+    T[n:, -1] = -fs
+    if p.is_infinity:
+        tight = np.argmin(T[:, -1:], axis=0)
+        bound = np.flatnonzero(np.arange(m) != tight[0])
+    else:
+        rows = np.arange(n)
+        tight = np.where(fs < 0, rows, rows + n)
+        bound = np.where(fs < 0, rows + n, rows)
+    T[bound] -= T[tight]
+    T[tight] = 0.0 - T[tight]
+    obj = np.zeros(slack + m + 1)
+    obj[2 * d : slack] = 1.0
+    obj -= np.add.accumulate(T[tight], axis=0)[-1]
+    basis = slack + np.arange(m)
+    basis[tight] = 2 * d + np.arange(n_eps)
+    return T, obj, basis
+
+
+def clipped_hat_design(xs, bps):
+    """``hat_design`` with the piece found by a clipped search over every breakpoint, its reference."""
+    n, d = len(xs), len(bps)
+    A = np.zeros((n, d))
+    piece = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, d - 2)
+    w = (xs - bps[piece]) / (bps[piece + 1] - bps[piece])
+    A[np.arange(n), piece] = 1.0 - w
+    A[np.arange(n), piece + 1] = w
+    return A
+
+
+def captured_starts(monkeypatch):
+    """Spy on ``fixed_knot.solve_lp``; return the list of (T, basis) copies it is handed."""
+    seen = []
+
+    def spy(T, basis):
+        seen.append((T.copy(), basis.copy()))
+        return solve_lp(T, basis)
+
+    monkeypatch.setattr(fixed_knot, "solve_lp", spy)
+    return seen
+
+
+def counting_pivots(monkeypatch):
+    """Wrap ``simplex._pivot`` and return the list it appends one entry to per pivot."""
+    made = []
+    pivot = simplex._pivot
+
+    def counted(*args):
+        made.append(args[1:])
+        pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    return made
+
+
+# max x+y st x+2y<=4, 3x+y<=6  ->  min -(x+y), optimum at (8/5, 6/5)
+KNOWN_LP = (np.array([-1.0, -1.0]), np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0]))
+
+
 class TestSimplex:
     def test_known_optimum(self):
-        # max x+y st x+2y<=4, 3x+y<=6  ->  min -(x+y), optimum at (8/5, 6/5)
-        c = np.array([-1.0, -1.0])
-        x = solve_lp(*pivoted_start(c, np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0])))
-        assert abs(c @ x[:2] - (-2.8)) <= 1e-9
+        x = solve_lp(*pivoted_start(*KNOWN_LP))
+        assert abs(KNOWN_LP[0] @ x[:2] - (-2.8)) <= 1e-9
+        assert np.allclose(x[:2], [1.6, 1.2], atol=1e-9)
+
+    def test_iteration_limit(self, monkeypatch):
+        # _MAX_ITER caps the pivots: one fewer than the LP needs raises, as many solves.
+        made = counting_pivots(monkeypatch)
+        solve_lp(*pivoted_start(*KNOWN_LP))
+        assert len(made) >= 1
+        monkeypatch.setattr(simplex, "_MAX_ITER", len(made) - 1)
+        with pytest.raises(SimplexError, match="iteration limit"):
+            solve_lp(*pivoted_start(*KNOWN_LP))
+        monkeypatch.setattr(simplex, "_MAX_ITER", len(made))
+        x = solve_lp(*pivoted_start(*KNOWN_LP))
         assert np.allclose(x[:2], [1.6, 1.2], atol=1e-9)
 
     def test_negative_rhs_uses_start_pivots(self):
@@ -97,49 +238,71 @@ class TestSimplex:
         # _lp_fit writes its start tableau directly. On seeded hat-design LPs
         # it must equal the slack tableau taken through the start pivots,
         # value for value, and the solved vertex must match bit for bit.
-        # Integer f gives exact zeros, which pick the tight row, and ties
-        # for the l_inf argmin row; half the cases sit at epoch-sized x.
         # A -0.0 in f may flip the sign of a zero slack or eps in the l_1
         # vertex, never a coefficient.
-        seen = []
-
-        def spy(T, obj, basis):
-            seen.append((T.copy(), obj.copy(), basis.copy()))
-            return solve_lp(T, obj, basis)
-
-        monkeypatch.setattr(fixed_knot, "solve_lp", spy)
-        rng = make_rng(63)
-        for case in range(120):
-            n = int(rng.integers(3, 11))
-            k = int(rng.integers(0, min(3, n - 2) + 1))
-            xs = np.cumsum(rng.uniform(0.5, 1.5, n))
-            if case % 2:
-                xs = 60.0 * xs + 1.7e9
-            fs = rng.uniform(-1.0, 1.0, n)
-            if case % 3:
-                fs = rng.integers(-1, 2, n).astype(float)
-            if case % 10 == 9:
-                fs[rng.integers(0, n, 2)] = -0.0
-            knots = sorted(rng.choice(np.arange(1, n - 1), k, replace=False))
-            A = hat_design(xs, xs[[0, *knots, n - 1]])
+        seen = captured_starts(monkeypatch)
+        for A, fs in seeded_hat_lps():
             d = A.shape[1]
-
             seen.clear()
             beta = fixed_knot._lp_fit(A, fs, p)
             assert len(seen) == 1
             c, A_ub, b_ub, start = fitting_lp(A, fs, p)
-            T, obj, basis = pivoted_start(c, A_ub, b_ub, start)
-            T0, obj0, basis0 = seen[0]
-            assert np.array_equal(T0, T) and np.array_equal(basis0, basis)
-            assert np.array_equal(obj0[:-1], obj[:-1])  # obj[-1] is never read
+            T, basis = pivoted_start(c, A_ub, b_ub, start)
+            T0, basis0 = seen[0]
+            assert np.array_equal(T0[:-1], T[:-1]) and np.array_equal(basis0, basis)
+            assert np.array_equal(T0[-1, :-1], T[-1, :-1])  # the objective value is never read
             if p.is_infinity:
-                assert T0.tobytes() == T.tobytes()
-            x = solve_lp(T, obj, basis)
+                assert T0[:-1].tobytes() == T[:-1].tobytes()
+            x = solve_lp(T, basis)
             assert beta.tobytes() == (x[:d] - x[d : 2 * d]).tobytes()
             if np.signbit(fs[fs == 0.0]).any():
-                assert np.array_equal(solve_lp(T0, obj0, basis0), x)
+                assert np.array_equal(solve_lp(T0, basis0), x)
             else:
-                assert solve_lp(T0, obj0, basis0).tobytes() == x.tobytes()
+                assert solve_lp(T0, basis0).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
+    def test_solve_lp_matches_the_reference_loop(self, p, monkeypatch):
+        # solve_lp must take Bland's path pivot for pivot: the same vertex,
+        # final tableau, objective row included, and basis, byte for byte.
+        # The sample has ratio ties that the smallest basis label breaks
+        # away from the first tied row.
+        made = counting_pivots(monkeypatch)
+        label_picks = 0
+        for A, fs in seeded_hat_lps():
+            T, basis = pivoted_start(*fitting_lp(A, fs, p))
+            ref_T, ref_obj, ref_basis = T[:-1].copy(), T[-1].copy(), basis.copy()
+            x_ref, pivots, picks = bland_reference(ref_T, ref_obj, ref_basis)
+            label_picks += picks
+            made.clear()
+            x = solve_lp(T, basis)
+            assert len(made) == pivots
+            assert x.tobytes() == x_ref.tobytes() and basis.tobytes() == ref_basis.tobytes()
+            assert T.tobytes() == np.vstack([ref_T, ref_obj]).tobytes()
+        assert label_picks > 0
+
+    @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
+    def test_start_tableau_matches_the_index_array_writer(self, p, monkeypatch):
+        # _lp_fit writes the slack and eps diagonals through strided views;
+        # its start must equal the index-array writer's byte for byte, from
+        # n = 2 points with d = n coefficients to the one-coefficient constant fit.
+        seen = captured_starts(monkeypatch)
+        rng = make_rng(64)
+        for n in range(2, 14):
+            xs = np.cumsum(rng.uniform(0.5, 1.5, n))
+            fs = rng.integers(-2, 3, n).astype(float) if n % 2 else rng.uniform(-1.0, 1.0, n)
+            if n % 4 == 1:
+                fs[n // 2] = -0.0
+            for d in range(1, n + 1):
+                if d == 1:
+                    A = np.ones((n, 1))
+                else:
+                    knots = sorted(rng.choice(np.arange(1, n - 1), d - 2, replace=False))
+                    A = hat_design(xs, xs[[0, *knots, n - 1]])
+                seen.clear()
+                fixed_knot._lp_fit(A, fs, p)
+                T, obj, basis = fancy_index_start(A, fs, p)
+                assert seen[0][0].tobytes() == np.vstack([T, obj]).tobytes()
+                assert seen[0][1].tobytes() == basis.tobytes()
 
     @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
     def test_chain_fits_match_highs(self, p):
@@ -269,6 +432,21 @@ class TestFitLine:
 
 
 class TestFitChain:
+    def test_hat_design_matches_the_clipped_search(self):
+        # Abscissae on the end and inner breakpoints, between them and at
+        # epoch scale, with two to six breakpoints: the same bytes.
+        rng = make_rng(65)
+        for case in range(200):
+            xs = np.cumsum(rng.uniform(0.5, 1.5, int(rng.integers(2, 12))))
+            if case % 2:
+                xs = 60.0 * xs + 1.7e9
+            inner = rng.choice(xs[1:-1], min(int(rng.integers(0, 5)), len(xs) - 2), replace=False)
+            bps = np.concatenate([[xs[0]], np.sort(inner), [xs[-1]]])
+            if case % 3 == 0 and len(xs) > 2:  # breakpoints off the abscissae
+                bps[1:-1] = np.sort(rng.uniform(xs[0], xs[-1], len(bps) - 2))
+                bps = np.unique(bps)
+            assert hat_design(xs, bps).tobytes() == clipped_hat_design(xs, bps).tobytes()
+
     def test_collinear_interpolation(self):
         data = DataSet([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
         s, err = fit_chain(data, ChainProblem(0, 3, (1,)), PNorm.two())

@@ -40,7 +40,7 @@ def test_answer_digest_repeats():
     assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
-        "best_fit", "grid_oracle", "regularize", "best_fit_p2_wide"
+        "best_fit", "grid_oracle", "regularize", "best_fit_p2_wide", "chain_fits"
     ]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
