@@ -15,12 +15,14 @@ can be checked by running this script on both versions. Sections:
   3000 pairs on an integer grid with knots on half-integers.
 - best_fit_p2_wide: 120 answers at p = 2 on noise, smooth and planted data
   with mu 13-40 and k 1-3, each at unit scale and at the affine scale above.
-  Their p = 2 line tables are wider than best_fit's, and at mu = 40 they
-  take two chunks.
+  Their p = 2 line tables are wider than best_fit's.
 - chain_fits: 2000 fit_chain answers (breakpoint values and error bytes) at
   p in {1, inf}, on noise, on an integer grid and on noise at the affine
   scale above, with mu 0-20 and 0-3 knots. best_fit keeps only the winners'
   chain fits, so this is what sees a changed LP vertex on any other chain.
+- best_fit_p2_large: 24 answers at p = 2 on smooth and planted data with
+  mu 100-300 and k 1-3, each at unit scale and at the affine scale above.
+  Their p = 2 line tables span 102-302 points.
 
 An answer that raises is recorded by the exception's type name. --quick
 runs a small slice of every section in a few seconds. --answers also prints
@@ -93,6 +95,14 @@ def best_fit_p2_wide_answers(rng: np.random.Generator, instances: int):
         yield answer(best_fit, affine(data), k, PNorm.two())
 
 
+def best_fit_p2_large_answers(rng: np.random.Generator, instances: int):
+    for i in range(instances):
+        mu, k = int(rng.integers(100, 301)), int(rng.integers(1, 4))
+        data = make_dataset(rng, ("smooth", "planted")[i % 2], mu, k)
+        yield answer(best_fit, data, k, PNorm.two())
+        yield answer(best_fit, affine(data), k, PNorm.two())
+
+
 def oracle_answers(rng: np.random.Generator, values: int):
     for i in range(values):
         kind, p = KINDS[i % len(KINDS)], NORMS[(i // len(KINDS)) % len(NORMS)]
@@ -142,17 +152,16 @@ def chain_fit_answers(rng: np.random.Generator, chains: int):
 
 def sections(seed: int, quick: bool):
     """(name, answers) per section; each section draws from its own generator."""
-    sizes = (12, 5, 50, 3, 50) if quick else (210, 50, 3000, 60, 2000)
-    names = ("best_fit", "grid_oracle", "regularize", "best_fit_p2_wide", "chain_fits")
-    makers = (
-        best_fit_answers,
-        oracle_answers,
-        regularize_answers,
-        best_fit_p2_wide_answers,
-        chain_fit_answers,
+    table = (
+        ("best_fit", best_fit_answers, 12, 210),
+        ("grid_oracle", oracle_answers, 5, 50),
+        ("regularize", regularize_answers, 50, 3000),
+        ("best_fit_p2_wide", best_fit_p2_wide_answers, 3, 60),
+        ("chain_fits", chain_fit_answers, 50, 2000),
+        ("best_fit_p2_large", best_fit_p2_large_answers, 1, 12),
     )
-    for i, (name, make, size) in enumerate(zip(names, makers, sizes)):
-        yield name, make(np.random.default_rng([seed, i]), size)
+    for i, (name, make, few, many) in enumerate(table):
+        yield name, make(np.random.default_rng([seed, i]), few if quick else many)
 
 
 def main() -> int:

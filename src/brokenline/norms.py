@@ -23,9 +23,9 @@ def residual_norm(r: np.ndarray, p: PNorm) -> float:
     """
     r = np.asarray(r, dtype=float)
     if p.is_infinity:
-        return float(np.max(np.abs(r)))
+        return float(np.abs(r).max())
     if p.p == 1.0:
-        return float(np.sum(np.abs(r)))
+        return float(np.abs(r).sum())
     if p.p == 2.0:
         # np.vdot, unlike np.dot, raises no floating-point warning, so the
         # overflow handled below stays silent without a costly np.errstate.
@@ -35,11 +35,11 @@ def residual_norm(r: np.ndarray, p: PNorm) -> float:
         scale = pow2_above(r)
         r = r / scale
         return scale * math.sqrt(np.dot(r, r))
-    top = float(np.max(np.abs(r)))
+    top = float(np.abs(r).max())
     if top == 0.0:
         return 0.0
     scaled = np.abs(r) / top
-    return float(top * np.sum(scaled**p.p) ** (1.0 / p.p))
+    return float(top * (scaled**p.p).sum() ** (1.0 / p.p))
 
 
 def error_norm(data: DataSet, s: BrokenLine, p: PNorm) -> float:

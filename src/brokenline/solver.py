@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, TypeVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import BrokenLine, DataSet, PNorm, coincident, default_slope_tolerance, proper_mask
 from .core import classify_knots  # noqa: F401  (perfbench/tracing.py wraps solver.classify_knots)
@@ -216,43 +215,42 @@ def _lower_bound(data: DataSet, config: KnotConfig, p: PNorm, line_error) -> flo
     return residual_norm(np.array(errs), p)
 
 
-_BLOCK_CHUNK = 1 << 15  # (block, offset) entries a chunk of the p=2 line table holds at once
 _PAIR_CHUNK = 1 << 20  # misses a line table holds at once, which bounds its memory
 
 
 def _p2_line_errors(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Least-squares line errors of all blocks: E[a, b] for points a..b.
 
-    Each block is centred on its own means, twice, so the rounding of a mean
-    at an offset such as x ~ 1.7e9 leaves no bias; running sums of x, x^2, f
-    and xf over the whole data would cancel catastrophically there, and
-    would lift the zero error of a block that a line fits exactly above the
-    search's margin. The slope is sum(dx*df) / sum(dx*dx) and the error the
-    norm of df - slope*dx. Blocks of one or two points get 0, since a line
-    passes through them. x and f are first divided by powers of two, which
-    is exact, so that no sum of squares over- or underflows at extreme
-    scales.
-
-    The blocks of three or more points are taken longest first, in chunks
-    of _BLOCK_CHUNK // n, so that a few numpy calls serve many blocks. A
-    chunk is one (block, offset) array as wide as its first block, read from
-    x and f (each repeated once past its end) at each block's start. A 0/1
-    mask zeroes the offsets past each block's end and keeps them zero through
-    both centrings, so every mean and sum runs over the block's own points.
+    Pass L = 1 .. n-1 adds point a+L to every block a..a+L-1 at once, a
+    rank-one update of the block's 2x2 QR factor of [1, x] and its rotated
+    f (Golub & Van Loan, *Matrix Computations*, sec. 6.5). The first Givens
+    rotation, with cosine sqrt(L/(L+1)) and sine 1/sqrt(L+1), is Welford's
+    update of the means of x - x_a and f - f_a (held as one complex number),
+    and leaves the new point (u, w) centred on the old means. The second, by
+    (c, s), rotates u into the factor's last diagonal entry r and w into its
+    rotated f entry z. What it leaves over, V[a, a+L], is the new point's
+    share of the block's residual, so E is the root of a running sum of V^2
+    along each row and does not cancel: a block that a line fits exactly
+    stays at rounding level even at an offset such as x ~ 1.7e9, where sums
+    of x, x^2, f and xf would lift it above the search's margin. Blocks of
+    one or two points get 0, since a line passes through them. x and f are
+    first divided by powers of two, which is exact, so that no sum of
+    squares over- or underflows at extreme scales.
     """
     n, scale = len(x), pow2_above(f)
-    xs, fs = (sliding_window_view(np.tile(v, 2), n) for v in (x / pow2_above(x), f / scale))
-    rest, start = np.tril_indices(n - 2)  # the block of n - rest points from start
-    E, step = np.zeros((n, n)), max(1, _BLOCK_CHUNK // n)
-    for lo in range(0, len(start), step):
-        a, m = start[lo : lo + step], n - rest[lo : lo + step, None]
-        mask = (np.arange(m[0, 0]) < m).astype(float)
-        dx, df = xs[a, : m[0, 0]] * mask, fs[a, : m[0, 0]] * mask
-        for d in (dx, df, dx, df):
-            d -= mask * (d.sum(axis=1, keepdims=True) / m)
-        df -= (np.einsum("ij,ij->i", dx, df) / np.einsum("ij,ij->i", dx, dx))[:, None] * dx
-        E[a, a + m[:, 0] - 1] = np.sqrt(np.einsum("ij,ij->i", df, df))
-    return scale * E
+    pts = x / pow2_above(x) + 1j * (f / scale)
+    V, mean, r, z = np.zeros((n, n)), np.zeros(n, complex), *np.zeros((2, n))
+    for L in range(1, n):
+        m = n - L  # blocks a..a+L-1 that take point a+L
+        d = pts[L:] - pts[:m] - mean[:m]
+        mean = mean[:m] + d * (1.0 / (L + 1))
+        d *= math.sqrt(L / (L + 1))
+        u, w = d.real, d.imag
+        r2 = np.hypot(r[:m], u)
+        c, s = r[:m] / r2, u / r2
+        V.reshape(-1)[L : L + m * (n + 1) : n + 1] = c * w - s * z[:m]  # entries (a, a+L)
+        r, z = r2, c * z[:m] + s * w
+    return scale * np.sqrt(np.cumsum(V * V, axis=1))
 
 
 def _pairs(n: int, gap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -792,7 +790,7 @@ def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:
             for _ in range(12):
                 moved = False
                 for slot in range(len(sizes)):
-                    scan = np.tile(choice, (sizes[slot], 1))
+                    scan = np.repeat(choice[None, :], sizes[slot], axis=0)
                     scan[:, slot] = np.arange(sizes[slot])
                     errs = yield from eval_cached(cands, scan)
                     idx = int(np.argmin(errs))

@@ -488,14 +488,12 @@ class TestBestFit:
                 assert bound <= rank * (1.0 + 1e-9) + slack
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_p2_line_table_matches_the_per_length_loop(self, monkeypatch):
-        # The chunked table agrees with a pass per block length, at every
-        # scale the search must handle. A budget of 100 entries splits the
-        # blocks of one length over several chunks and puts blocks of two
-        # lengths in one chunk; a row's masked sum can round differently
-        # with the chunk's width, so entries agree to rounding.
+    def test_p2_line_table_matches_the_per_length_loop(self):
+        # The updating sweep agrees with a pass per block length that
+        # centres each block twice, at every scale the search must handle,
+        # and on data wide enough that each block takes up to 201 updates.
         rng = make_rng(63)
-        for mu in (0, 1, 2, 3, 9, 24, 40):
+        for mu in (0, 1, 2, 3, 9, 24, 40, 100, 200):
             data = random_dataset(rng, mu)
             for x, f in [
                 (data.x, data.f),
@@ -507,9 +505,6 @@ class TestBestFit:
                 table = _p2_line_errors(x, f)
                 ref = p2_line_errors_by_length(x, f)
                 np.testing.assert_allclose(table, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(f)))
-                with monkeypatch.context() as patch:
-                    patch.setattr(brokenline.solver, "_BLOCK_CHUNK", 100)
-                    np.testing.assert_allclose(_p2_line_errors(x, f), table, rtol=1e-13)
 
     @pytest.mark.parametrize("epoch", [False, True])
     def test_p2_line_table_is_zero_inside_a_planted_piece(self, epoch):
@@ -518,18 +513,19 @@ class TestBestFit:
         # 1e-9*max|f|, or the bound would prune the zero-error optimum. A
         # table from running sums of x, x^2, f and xf reads up to about
         # 5e-10*max|f| on these blocks at unit scale and 4e-3*max|f| at
-        # epoch scale.
-        data, spline, _ = planted_instance(make_rng(76), 20, 2)  # knots d2 and g5
-        if epoch:
-            x = 60.0 * data.x + 1.7e9
-            spline = BrokenLine(60.0 * spline.t + 1.7e9, -2.5 * spline.v + 100.0)
-            data = DataSet(x, evaluate_many(spline, x))
-        table = _p2_line_errors(data.x, data.f)
-        knots = spline.t[1:-1]
-        assert len(knots) == 2
-        for a, b in itertools.combinations(range(len(data.x)), 2):
-            if not np.any((data.x[a] < knots) & (knots < data.x[b])):
-                assert table[a, b] <= 1e-12 * np.max(np.abs(data.f))
+        # epoch scale. At mu=200 a block's error sums up to 201 updates.
+        for mu in (20, 200):  # knots d2 and g5 at mu=20
+            data, spline, _ = planted_instance(make_rng(76), mu, 2)
+            if epoch:
+                x = 60.0 * data.x + 1.7e9
+                spline = BrokenLine(60.0 * spline.t + 1.7e9, -2.5 * spline.v + 100.0)
+                data = DataSet(x, evaluate_many(spline, x))
+            table = _p2_line_errors(data.x, data.f)
+            knots = spline.t[1:-1]
+            assert len(knots) == 2
+            a, b = np.triu_indices(len(data.x), 1)
+            inside = ~np.any((data.x[a, None] < knots) & (knots < data.x[b, None]), axis=1)
+            assert np.all(table[a[inside], b[inside]] <= 1e-12 * np.max(np.abs(data.f)))
 
     @pytest.mark.parametrize("p", [PNorm.one(), PNorm.infinity()])
     def test_lp_line_tables_match_fit_chain(self, p, monkeypatch):
