@@ -23,6 +23,10 @@ can be checked by running this script on both versions. Sections:
 - best_fit_p2_large: 24 answers at p = 2 on smooth and planted data with
   mu 100-300 and k 1-3, each at unit scale and at the affine scale above.
   Their p = 2 line tables span 102-302 points.
+- best_fit_lp_wide: 24 answers at p in {1, inf, 1.5, 3} on smooth and noise
+  data with mu 20-60 and k 2-3, each at unit scale and at the affine scale
+  above. They read the bound's dynamic program and its general-p block set
+  at wider mu than best_fit does.
 
 An answer that raises is recorded by the exception's type name. --quick
 runs a small slice of every section in a few seconds. --answers also prints
@@ -54,6 +58,7 @@ from brokenline import (
 from generate_instance import KINDS, make_dataset
 
 NORMS = [PNorm.one(), PNorm.two(), PNorm.infinity(), PNorm.general(1.5), PNorm.general(3.0)]
+LP_NORMS = [p for p in NORMS if p.p != 2.0]
 
 
 def affine(data: DataSet) -> DataSet:
@@ -101,6 +106,15 @@ def best_fit_p2_large_answers(rng: np.random.Generator, instances: int):
         data = make_dataset(rng, ("smooth", "planted")[i % 2], mu, k)
         yield answer(best_fit, data, k, PNorm.two())
         yield answer(best_fit, affine(data), k, PNorm.two())
+
+
+def best_fit_lp_wide_answers(rng: np.random.Generator, instances: int):
+    for i in range(instances):
+        kind, p = ("smooth", "noise")[i % 2], LP_NORMS[(i // 2) % len(LP_NORMS)]
+        mu, k = int(rng.integers(20, 61)), int(rng.integers(2, 4))
+        data = make_dataset(rng, kind, mu, k)
+        yield answer(best_fit, data, k, p)
+        yield answer(best_fit, affine(data), k, p)
 
 
 def oracle_answers(rng: np.random.Generator, values: int):
@@ -159,6 +173,7 @@ def sections(seed: int, quick: bool):
         ("best_fit_p2_wide", best_fit_p2_wide_answers, 3, 60),
         ("chain_fits", chain_fit_answers, 50, 2000),
         ("best_fit_p2_large", best_fit_p2_large_answers, 1, 12),
+        ("best_fit_lp_wide", best_fit_lp_wide_answers, 1, 12),
     )
     for i, (name, make, few, many) in enumerate(table):
         yield name, make(np.random.default_rng([seed, i]), few if quick else many)

@@ -326,25 +326,34 @@ _LINE_TABLES = {1.0: _l1_line_errors, 2.0: _p2_line_errors, math.inf: _linf_line
 class _BoundDag(NamedTuple):
     """The tables of ``_bound_dag``, which the stream and the walk share."""
 
-    edge: np.ndarray
-    W: np.ndarray
-    end: np.ndarray
+    cost: np.ndarray
+    start: np.ndarray
     least: list[np.ndarray]
     combine: Callable[[float, float], float]
     vcombine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     to_bound: Callable
+
+    def moves(self, c: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Codes the next junction can take from code c with r left, and their block costs."""
+        codes = np.arange(2 * ((c + 1) // 2) + 2 if r else len(self.start), len(self.start))
+        return codes, self.cost[self.start[c], codes // 2]
 
 
 def _bound_dag(data: DataSet, k: int, p: PNorm, line_error) -> _BoundDag:
     """The DAG whose paths are the configurations of ``enumerate_configs``.
 
     A configuration is a path through junction codes (code 0 is the left
-    end of the data) whose edges are the blocks of ``_lower_bound``. Edge
-    costs are line errors, combined by max for p = inf and otherwise summed
-    as p-th powers; for finite p each error is first divided by one power
-    of two above the largest, so no sum over- or underflows. A suffix
-    dynamic program gives every (code, junctions left) state its least
-    completion cost.
+    end of the data) whose edges are the blocks of ``_lower_bound``. A move
+    out of code c reaches codes 2q and 2q+1 for every q >= (c+1)//2 + 1, so
+    the piece before it covers two abscissae, at the line error of block
+    [start[c], q]. Costs combine by max for p = inf and otherwise sum as
+    p-th powers of errors first divided by one power of two above the
+    largest, so no sum over- or underflows. A suffix dynamic program gives
+    every (code, junctions left) state its least completion cost. A step
+    combines every block [a, q] of the one (mu+2)^2 cost table with at[q],
+    the lesser completion of codes 2q and 2q+1, and keeps a running minimum
+    along q from the right. Rounding is monotone, so taking the lesser
+    first gives the same bits as combining each code.
 
     At p in {1, 2, inf} the line errors come in closed form from
     ``_LINE_TABLES``; otherwise each is ``line_error(a, b)``, asked only for
@@ -352,43 +361,35 @@ def _bound_dag(data: DataSet, k: int, p: PNorm, line_error) -> _BoundDag:
     """
     mu, inf = data.mu, p.is_infinity
     codes = np.arange(2 * mu + 1)
-    q, gap = codes // 2, codes % 2 == 1
     # The first piece and a piece after a gap start their block at their own
     # first point; after a data knot the knot's point belongs to the block
     # on its left, or to both blocks for p = inf.
-    start = np.where(gap | (not inf), q + 1, q)
+    start = codes // 2 + ((codes % 2 == 1) | (not inf))
     start[0] = 0
-    # States: the left end always, junction codes 2..2mu when k >= 1. The
-    # next junction leaves two abscissae to the piece before it; the left end
-    # takes one when k >= 1, a junction takes another when k >= 2.
-    live = (codes == 0) | ((codes >= 2) & (k >= 1))
-    edge = codes[None, :] >= 2 * ((codes[:, None] + 1) // 2) + 2
-    edge &= ((codes == 0) & (k >= 1) | (codes >= 2) & (k >= 2))[:, None]
 
     if p.p in _LINE_TABLES:
-        E = _LINE_TABLES[p.p](data.x, data.f)
+        cost = _LINE_TABLES[p.p](data.x, data.f)
     else:
-        E = np.zeros((mu + 2, mu + 2))
-        rows, cols = np.nonzero(edge)
-        blocks = set(zip(start[rows].tolist(), q[cols].tolist()))
-        blocks |= {(a, mu + 1) for a in start[live].tolist()}
-        for a, b in sorted(blocks):
-            if b > a + 1:
-                E[a, b] = line_error(a, b)
+        # At finite p a block starts at 0 or, after a junction, at a >= 2, and
+        # a junction follows it unless it ends the data at b = mu+1.
+        cost = np.zeros((mu + 2, mu + 2))
+        for a, b in itertools.combinations(range(mu + 2), 2):
+            if b > a + 1 and a != 1 and (a > 0) + (b <= mu) <= k:
+                cost[a, b] = line_error(a, b)
 
-    if inf:
-        cost, to_bound = E, float
-    else:
-        scale = pow2_above(E)
-        cost = (E / scale) ** p.p
+    to_bound = float
+    if not inf:  # rebinding cost frees the line-error table
+        scale = pow2_above(cost)
+        cost = (cost / scale) ** p.p
         to_bound = lambda key: scale * key ** (1.0 / p.p)  # noqa: E731
     vcombine, combine = (np.maximum, max) if inf else (np.add, operator.add)
-    end = cost[start, mu + 1]
-    W = np.where(edge, cost[start[:, None], q[None, :]], np.inf)
-    least = [end]  # least[r][c]: least completion cost with at most r junctions left
+    least = [cost[start, mu + 1]]  # least[r][c]: least completion with at most r junctions left
     for _ in range(k):
-        least.append(np.minimum(end, vcombine(W, least[-1][None, :]).min(axis=1)))
-    return _BoundDag(edge, W, end, least, combine, vcombine, to_bound)
+        # Code 2mu+1 and position mu+1 take no junction; column mu - (c+1)//2 is q >= (c+1)//2 + 1.
+        at = np.concatenate((least[-1], [np.inf] * 3)).reshape(-1, 2).min(axis=1)
+        right = np.minimum.accumulate(vcombine(cost, at)[:, ::-1], axis=1)
+        least.append(np.minimum(least[0], right[start, mu - (codes + 1) // 2]))
+    return _BoundDag(cost, start, least, combine, vcombine, to_bound)
 
 
 def _configs_by_bound(dag: _BoundDag) -> Iterator[tuple[float, KnotConfig]]:
@@ -400,19 +401,17 @@ def _configs_by_bound(dag: _BoundDag) -> Iterator[tuple[float, KnotConfig]]:
     a hop-limited DAG (Eppstein, SIAM J. Comput. 1998). Each pop pushes at
     most two entries, its next sibling and its best child.
     """
-    edge, W, end, least, combine, vcombine, to_bound = dag
-    children: dict[tuple[int, int], tuple[list[float], list[int]]] = {}
+    cost, start, least, combine, vcombine, to_bound = dag
 
+    @functools.cache
     def ordered(c: int, r: int) -> tuple[list[float], list[int]]:
         """Moves out of state (c, r), cheapest completion first; -1 ends."""
-        if (c, r) not in children:
-            moves = np.flatnonzero(edge[c]) if r else np.empty(0, dtype=int)
-            h = np.concatenate(([end[c]], vcombine(W[c, moves], least[r - 1][moves])))
-            order = np.argsort(h, kind="stable")
-            children[c, r] = h[order].tolist(), np.concatenate(([-1], moves))[order].tolist()
-        return children[c, r]
+        moves, w = dag.moves(c, r)
+        h = np.concatenate(([least[0][c]], vcombine(w, least[r - 1][moves])))
+        order = np.argsort(h, kind="stable")
+        return h[order].tolist(), np.concatenate(([-1], moves))[order].tolist()
 
-    k, slots = len(least) - 1, [_junction(code) for code in range(len(end))]
+    k, slots = len(least) - 1, [_junction(code) for code in range(len(start))]
     seq = itertools.count()
     # (key, tie, prefix cost, prefix codes, state, junctions left, move index)
     heap = [(ordered(0, k)[0][0], next(seq), 0.0, (), 0, k, 0)]
@@ -428,7 +427,7 @@ def _configs_by_bound(dag: _BoundDag) -> Iterator[tuple[float, KnotConfig]]:
         if c2 < 0:
             yield to_bound(key), KnotConfig(tuple(slots[code] for code in prefix))
         else:
-            g2 = combine(g, float(W[c, c2]))
+            g2 = combine(g, float(cost[start[c], c2 // 2]))
             best = ordered(c2, r - 1)[0][0]
             heapq.heappush(
                 heap, (max(key, combine(g2, best)), next(seq), g2, (*prefix, c2), c2, r - 1, 0)
@@ -442,15 +441,15 @@ def _configs_by_key(dag: _BoundDag, limit: float) -> Iterator[KnotConfig]:
     within each, codes in increasing order. A prefix whose cost combined
     with its least completion exceeds ``limit`` is dropped.
     """
-    edge, W, end, least, combine, vcombine, to_bound = dag
+    _, _, least, combine, vcombine, to_bound = dag
 
     def walk(prefix: tuple[int, ...], c: int, left: int, g: float) -> Iterator[tuple[int, ...]]:
         if not left:
-            if to_bound(combine(g, float(end[c]))) <= limit:
+            if to_bound(combine(g, float(least[0][c]))) <= limit:
                 yield prefix
             return
-        moves = np.flatnonzero(edge[c])
-        g2 = vcombine(g, W[c, moves])
+        moves, w = dag.moves(c, left)
+        g2 = vcombine(g, w)
         keep = [to_bound(h) <= limit for h in vcombine(g2, least[left - 1][moves]).tolist()]
         for c2, g3 in zip(moves[keep].tolist(), g2[keep].tolist()):
             yield from walk((*prefix, c2), c2, left - 1, g3)

@@ -41,7 +41,7 @@ def test_answer_digest_repeats():
     lines = runs[0].stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
         "best_fit", "grid_oracle", "regularize", "best_fit_p2_wide", "chain_fits",
-        "best_fit_p2_large",
+        "best_fit_p2_large", "best_fit_lp_wide",
     ]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout

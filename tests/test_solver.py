@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,42 @@ def p2_line_errors_by_length(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         a = np.arange(n - length + 1)
         E[a, a + length - 1] = np.sqrt(np.sum(r * r, axis=1))
     return scale * E
+
+
+def code_matrix_least(data: DataSet, k: int, p: PNorm, line_error) -> list[np.ndarray]:
+    """The bound DP on (2mu+1)^2 junction-code matrices, the reference for _bound_dag.
+
+    edge[c, c2] says whether a junction at code c2 may follow code c, and
+    W[c, c2] is the cost of the block between them; every step reduces a
+    (2mu+1)^2 temporary by rows. At general p it asks ``line_error`` for the
+    blocks of every edge and of every state's last piece.
+    """
+    mu, inf = data.mu, p.is_infinity
+    codes = np.arange(2 * mu + 1)
+    q, gap = codes // 2, codes % 2 == 1
+    start = np.where(gap | (not inf), q + 1, q)
+    start[0] = 0
+    live = (codes == 0) | ((codes >= 2) & (k >= 1))
+    edge = codes[None, :] >= 2 * ((codes[:, None] + 1) // 2) + 2
+    edge &= ((codes == 0) & (k >= 1) | (codes >= 2) & (k >= 2))[:, None]
+    if p.p in _LINE_TABLES:
+        E = _LINE_TABLES[p.p](data.x, data.f)
+    else:
+        E = np.zeros((mu + 2, mu + 2))
+        rows, cols = np.nonzero(edge)
+        blocks = set(zip(start[rows].tolist(), q[cols].tolist()))
+        blocks |= {(a, mu + 1) for a in start[live].tolist()}
+        for a, b in sorted(blocks):
+            if b > a + 1:
+                E[a, b] = line_error(a, b)
+    cost = E if inf else (E / pow2_above(E)) ** p.p
+    vcombine = np.maximum if inf else np.add
+    end = cost[start, mu + 1]
+    W = np.where(edge, cost[start[:, None], q[None, :]], np.inf)
+    least = [end]
+    for _ in range(k):
+        least.append(np.minimum(end, vcombine(W, least[-1][None, :]).min(axis=1)))
+    return least
 
 
 class TestEnumerateConfigs:
@@ -459,6 +496,47 @@ class TestBestFit:
                     assert {cfg for _, cfg in got} == {c for c, b in ref.items() if b <= cutoff}
                     for bound, cfg in got:
                         assert abs(bound - ref[cfg]) <= 1e-12 * ref[cfg]
+
+    def test_bound_dp_matches_the_code_matrices(self):
+        # The DP on the (mu+2)^2 block table gives every reachable state the
+        # same bits as the DP on junction-code matrices: code 0 with k
+        # junctions left, and junction codes (2 and up) with fewer. Other
+        # entries may differ, since no path reads them: code 1 is the
+        # boundary gap, and when k = 1 the code matrices give junction codes
+        # no move at r = 1, where the block table gives them some. At general
+        # p the bits match only if both fit blocks whose largest error has
+        # the same power of two above it, since that scales every cost.
+        rng = make_rng(64)
+        norms = NORMS + [PNorm.general(1.5), PNorm.general(3.0)]
+        cases = [(mu, p) for mu in (1, 2, 3, 9, 24, 40) for p in norms]
+        for mu, p in cases + [(200, PNorm.two())]:
+            data = random_dataset(rng, mu)
+            for data in (data, DataSet(60.0 * data.x + 1.7e9, -2.5 * data.f + 100.0)):
+                fit = functools.cache(lambda chain: fit_chain(data, chain, p))
+                line_error = lambda a, b: fit(ChainProblem(a, b))[1]  # noqa: E731
+                for k in range(4):
+                    got = _bound_dag(data, k, p, line_error).least
+                    ref = code_matrix_least(data, k, p, line_error)
+                    assert len(got) == len(ref) == k + 1
+                    assert got[k][0].tobytes() == ref[k][0].tobytes(), (mu, p, k)
+                    for r in range(k):
+                        assert got[r][2:].tobytes() == ref[r][2:].tobytes(), (mu, p, k, r)
+
+    def test_bound_dag_peaks_at_a_few_block_tables(self):
+        # The DAG keeps the (mu+2)^2 cost table, and a DP step adds its
+        # combined table and running minimum next to the last step's: four
+        # such tables at most, and the p=2 line table alone peaks at three.
+        # The (2mu+1)^2 code matrices peaked at ten and a half. numpy reports
+        # its buffers to tracemalloc.
+        mu = 300
+        data = smooth_dataset(make_rng(65), mu)
+        tracemalloc.start()
+        try:
+            _bound_dag(data, 3, PNorm.two(), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (mu + 2) ** 2 * 8
 
     def test_p2_line_table_matches_fit_chain(self):
         # The closed-form table is within 1e-9*max|f| of the least-squares
