@@ -75,11 +75,17 @@ def fit_result_obj(result: FitResult, p: PNorm, k: int) -> dict:
     return obj
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+def _emit(cfg: argparse.Namespace, obj: dict, rows: list[tuple]) -> None:
+    """Write ``obj`` as JSON, or ``rows`` through one csv writer under ``--format csv``."""
+    buf = io.StringIO()
+    if getattr(cfg, "format", "json") == "csv":
+        csv.writer(buf, lineterminator="\n").writerows(rows)  # quotes fields that hold commas
     else:
-        out.write_text(text, encoding="utf-8")
+        buf.write(_dumps(obj) + "\n")
+    if cfg.out is None:
+        sys.stdout.write(buf.getvalue())
+    else:
+        cfg.out.write_text(buf.getvalue(), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +101,22 @@ def parse_pnorm(text: str) -> PNorm:
 
 
 def load_dataset(path: Path) -> DataSet:
-    """Two-column x,f CSV; an optional header row is skipped; rows must be sorted."""
+    """Two-column x,f CSV, rows sorted; blank lines skipped, the first other row may be a header."""
     xs: list[float] = []
     fs: list[float] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row_no, row in enumerate(csv.reader(fh)):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
+            numbered = enumerate(csv.reader(fh), start=1)
+            filled = ((n, row) for n, row in numbered if len(row) > 1 or "".join(row).strip())
+            for i, (row_no, row) in enumerate(filled):
                 if len(row) != 2:
-                    raise InputError(f"{path}:{row_no + 1}: expected two columns, got {len(row)}")
+                    raise InputError(f"{path}:{row_no}: expected two columns, got {len(row)}")
                 try:
                     x, f = float(row[0]), float(row[1])
                 except ValueError:
-                    if row_no == 0:
+                    if i == 0:
                         continue  # header
-                    raise InputError(f"{path}:{row_no + 1}: cannot parse {row!r}")
+                    raise InputError(f"{path}:{row_no}: cannot parse {row!r}")
                 xs.append(x)
                 fs.append(f)
     except OSError as exc:
@@ -206,21 +212,17 @@ def render_svg(data: DataSet, s: BrokenLine, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _point_rows(s: BrokenLine) -> list[tuple]:
+    return [("t", "v"), *((_fmt(t), _fmt(v)) for t, v in zip(s.t, s.v))]
+
+
 def cmd_fit(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
     result = best_fit(data, cfg.k, cfg.p)
-    if cfg.format == "csv":
-        lines = [
-            f"# error={_fmt(result.error)}",
-            f"# p={cfg.p.label()}",
-            f"# k={cfg.k}",
-            f"# proper_knots={result.proper_knot_count}",
-            "t,v",
-        ]
-        lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(result.spline.t, result.spline.v)]
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        _emit(_dumps(fit_result_obj(result, cfg.p, cfg.k)) + "\n", cfg.out)
+    meta = {"error": _fmt(result.error), "p": cfg.p.label(), "k": cfg.k}
+    meta["proper_knots"] = result.proper_knot_count
+    rows = [(f"# {key}={value}",) for key, value in meta.items()] + _point_rows(result.spline)
+    _emit(cfg, fit_result_obj(result, cfg.p, cfg.k), rows)
     if cfg.emit_svg is not None:
         render_svg(data, result.spline, cfg.emit_svg)
     return 0
@@ -230,13 +232,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
     s = load_spline(cfg.spline)
     report = check_structure(data, s, cfg.p)
-    if cfg.format == "csv":
-        rows = [(name, chk.status.value, chk.witness or "") for name, chk in report.items()]
-        buf = io.StringIO()  # the writer quotes witnesses that hold commas
-        csv.writer(buf, lineterminator="\n").writerows([("property", "status", "witness"), *rows])
-        _emit(buf.getvalue(), cfg.out)
-    else:
-        _emit(_dumps({"properties": report.as_dict(), "all_pass": report.all_pass}) + "\n", cfg.out)
+    rows = [(name, chk.status.value, chk.witness or "") for name, chk in report.items()]
+    obj = {"properties": report.as_dict(), "all_pass": report.all_pass}
+    _emit(cfg, obj, [("property", "status", "witness"), *rows])
     return 0 if report.all_pass else 3
 
 
@@ -244,28 +242,21 @@ def cmd_regularize(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
     s = load_spline(cfg.spline)
     out = regularize(data, s)
-    if cfg.format == "csv":
-        lines = ["t,v"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(out.t, out.v)]
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        _emit(_dumps(spline_obj(out)) + "\n", cfg.out)
+    _emit(cfg, spline_obj(out), _point_rows(out))
     return 0
 
 
 def cmd_oracle(cfg: argparse.Namespace) -> int:
     data = load_dataset(cfg.input)
     err = grid_oracle(data, cfg.k, cfg.p, cfg.grid)
-    if cfg.format == "csv":
-        _emit(f"error,p,k,grid_per_gap\n{_fmt(err)},{cfg.p.label()},{cfg.k},{cfg.grid}\n", cfg.out)
-    else:
-        obj = {"error": err, "p": cfg.p.label(), "k": cfg.k, "grid_per_gap": cfg.grid}
-        _emit(_dumps(obj) + "\n", cfg.out)
+    obj = {"error": err, "p": cfg.p.label(), "k": cfg.k, "grid_per_gap": cfg.grid}
+    _emit(cfg, obj, [tuple(obj), (_fmt(err), cfg.p.label(), cfg.k, cfg.grid)])
     return 0
 
 
 def cmd_fixture(cfg: argparse.Namespace) -> int:
     s = spike_fixture(cfg.i)
-    _emit(_dumps(spline_obj(s)) + "\n", cfg.out)
+    _emit(cfg, spline_obj(s), [])  # JSON only: fixture has no --format
     if cfg.data_out is not None:
         rows = ["x,f", "-1,1", "0,1", "1,1"]
         Path(cfg.data_out).write_text("\n".join(rows) + "\n", encoding="utf-8")

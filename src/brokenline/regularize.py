@@ -199,15 +199,11 @@ def _iron_one_knot_below(s: BrokenLine, X: np.ndarray, q: int, t: float, tau: fl
 
 def _iron_gap(s: BrokenLine, X: np.ndarray, q: int, tau: float) -> BrokenLine:
     x_prev, x_q = float(X[q - 1]), float(X[q])
-    if not np.any((x_prev < s.t) & (s.t < x_q)):
-        return s  # no breakpoint inside the gap, so no gap knot to iron
     proper = _proper_knots(s, tau)
     gap_knots = [u for u in proper if x_prev < u < x_q]
-    if q == 1:
-        return _chord_replace(s, X, x_prev, x_q) if gap_knots else s
     if not gap_knots:
-        return s
-    if len(gap_knots) >= 2 or x_prev in proper or x_q in proper:
+        return s  # no proper knot inside the gap, so nothing to iron
+    if q == 1 or len(gap_knots) >= 2 or x_prev in proper or x_q in proper:
         return _chord_replace(s, X, x_prev, x_q)
     t = gap_knots[0]
     v_prev, v_q, s_t = evaluate_many(s, [x_prev, x_q, t]).tolist()

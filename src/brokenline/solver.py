@@ -693,33 +693,21 @@ def _gap_candidates(data: DataSet, resolutions: list[int]) -> list[np.ndarray]:
 
 
 def _oracle_patterns(mu: int, k: int) -> list[tuple[Junction, ...]]:
-    """All slot patterns with every piece covering two abscissae.
+    """All selections of at most k slots whose pieces each cover two abscissae.
 
-    Written as its own recursion (gap slots over all gaps; the coverage rule
-    alone rules the boundary gaps out) so the oracle does not reuse the
-    solver's pruned enumeration.
+    One filter over the combinations of the slots in code order (gap 0, x_1,
+    gap 1, ..., x_mu, gap mu); the coverage rule alone rules the boundary gaps
+    out. Written out here so the oracle does not reuse the solver's pruned
+    enumeration.
     """
-    slots = sorted(
-        [Junction("data", q) for q in range(1, mu + 1)]
-        + [Junction("gap", q) for q in range(0, mu + 1)],
-        key=lambda j: j.code,
-    )
-    patterns: list[tuple[Junction, ...]] = []
+    slots = [Junction("gap" if code % 2 else "data", code // 2) for code in range(1, 2 * mu + 2)]
 
-    def rec(seq: list[Junction], start: int, last_code: int, budget: int) -> None:
-        if (mu + 1) - start + 1 >= 2:
-            patterns.append(tuple(seq))
-        if budget == 0:
-            return
-        for j in slots:
-            if j.code <= last_code or j.q - start + 1 < 2:
-                continue
-            seq.append(j)
-            rec(seq, j.q if j.kind == "data" else j.q + 1, j.code, budget - 1)
-            seq.pop()
+    def covered(selection: tuple[Junction, ...]) -> bool:
+        starts = [0] + [j.q + (j.kind == "gap") for j in selection]
+        ends = [j.q for j in selection] + [mu + 1]
+        return all(lo < hi for lo, hi in zip(starts, ends))
 
-    rec([], 0, -1, k)
-    return patterns
+    return [c for r in range(k + 1) for c in itertools.combinations(slots, r) if covered(c)]
 
 
 def grid_oracle(data: DataSet, k: int, p: PNorm, grid_per_gap: int) -> float:

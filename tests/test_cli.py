@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from brokenline import DataSet, PNorm, error_norm
-from brokenline.cli import load_spline, main
+from brokenline import BrokenLine, DataSet, PNorm, error_norm
+from brokenline.cli import load_spline, main, render_svg
 
 TENT_CSV = "x,f\n0,0\n1,1\n3,1\n4,0\n"
 
@@ -54,6 +54,15 @@ class TestFit:
         assert text.count("knot-interior") == 1
         assert "<polyline" in text and "data-point" in text
 
+    def test_svg_of_a_flat_line_over_constant_data(self, tmp_path):
+        # All values equal: the plot widens its value range to one unit each way.
+        data = DataSet([0.0, 1.0, 2.0], [3.0, 3.0, 3.0])
+        svg = tmp_path / "flat.svg"
+        render_svg(data, BrokenLine([0.0, 2.0], [3.0, 3.0]), svg)
+        text = svg.read_text()
+        assert "nan" not in text and "inf" not in text
+        assert '<polyline points="40.00,200.00 600.00,200.00"' in text
+
     def test_svg_marks_a_data_knot(self, tmp_path, capsys):
         peak = tmp_path / "peak.csv"
         peak.write_text("x,f\n0,0\n1,1\n2,2\n3,1\n4,0\n")
@@ -71,6 +80,22 @@ class TestFit:
         code, out, _ = run(capsys, "fit", "--input", gappy, "--k", 1, "--p", "2")
         assert code == 0
         assert out == expected
+
+    def test_header_after_a_blank_line(self, tent_csv, tmp_path, capsys):
+        # The header is the first non-blank row, not only row 1.
+        late = tmp_path / "late.csv"
+        late.write_text("\n" + TENT_CSV)
+        _, expected, _ = run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
+        code, out, _ = run(capsys, "fit", "--input", late, "--k", 1, "--p", "2")
+        assert code == 0
+        assert out == expected
+
+    def test_second_header_exits_2(self, tmp_path, capsys):
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\nx,f\n" + TENT_CSV)
+        code, _, err = run(capsys, "fit", "--input", twice, "--k", 1, "--p", "2")
+        assert code == 2
+        assert "twice.csv:3: cannot parse" in err
 
     def test_unparsable_row_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -290,6 +315,82 @@ class TestOracleCommand:
         assert obj["error"] > 0.0
         assert float(row["error"]) == obj["error"] and row["p"] == obj["p"] == "1.5"
         assert int(row["k"]) == obj["k"] and int(row["grid_per_gap"]) == obj["grid_per_gap"]
+
+
+def _g17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _quote(field: str) -> str:
+    """A CSV field as csv.writer's minimal quoting writes it."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _expected_csv(command: str, obj: dict) -> str:
+    """The CSV text of one call, rebuilt by hand from the JSON of the same call."""
+    if command == "oracle":
+        row = f"{_g17(obj['error'])},{obj['p']},{obj['k']},{obj['grid_per_gap']}"
+        return f"error,p,k,grid_per_gap\n{row}\n"
+    if command == "verify":
+        rows = [
+            ",".join([name, entry["status"], _quote(entry.get("witness", ""))])
+            for name, entry in obj["properties"].items()
+        ]
+        return "\n".join(["property,status,witness"] + rows) + "\n"
+    head = []
+    if command == "fit":
+        head = [f"# error={_g17(obj['error'])}", f"# p={obj['p']}", f"# k={obj['k']}",
+                f"# proper_knots={obj['proper_knots']}"]
+    rows = [f"{_g17(bp['t'])},{_g17(bp['v'])}" for bp in obj["breakpoints"]]
+    return "\n".join(head + ["t,v"] + rows) + "\n"
+
+
+class TestCsvBytes:
+    """Every command's CSV output, byte for byte, against its own JSON output."""
+
+    ZIGZAG = "x,f\n0,0\n1,2\n2,1\n3,3\n4,0\n5,1\n"
+
+    def check(self, capsys, command, *args):
+        code_json, out_json, _ = run(capsys, command, *args)
+        code_csv, out_csv, _ = run(capsys, command, *args, "--format", "csv")
+        assert code_csv == code_json
+        assert out_csv == _expected_csv(command, json.loads(out_json))
+        return code_csv, out_csv
+
+    def test_fit_tent(self, tent_csv, capsys):
+        self.check(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2")
+
+    @pytest.mark.parametrize("p", ["1", "2", "inf", "1.5"])
+    def test_fit_zigzag(self, p, tmp_path, capsys):
+        path = tmp_path / "zigzag.csv"
+        path.write_text(self.ZIGZAG)
+        self.check(capsys, "fit", "--input", path, "--k", 2, "--p", p)
+
+    def test_verify_pass(self, tent_csv, tmp_path, capsys):
+        fit_json = tmp_path / "fit.json"
+        run(capsys, "fit", "--input", tent_csv, "--k", 1, "--p", "2", "--out", fit_json)
+        code, _ = self.check(
+            capsys, "verify", "--input", tent_csv, "--spline", fit_json, "--p", "2"
+        )
+        assert code == 0
+
+    def test_verify_boundary_knot(self, tent_csv, boundary_knot_json, capsys):
+        code, out = self.check(
+            capsys, "verify", "--input", tent_csv, "--spline", boundary_knot_json, "--p", "2"
+        )
+        assert code == 3 and '"' in out  # a witness holding commas is quoted
+
+    def test_regularize(self, tmp_path, capsys):
+        data_csv, spline_json = tmp_path / "data.csv", tmp_path / "spike.json"
+        run(capsys, "fixture", "spike", "--i", 10, "--out", spline_json, "--data-out", data_csv)
+        self.check(capsys, "regularize", "--input", data_csv, "--spline", spline_json)
+
+    def test_oracle(self, tmp_path, capsys):
+        path = tmp_path / "zigzag.csv"
+        path.write_text(self.ZIGZAG)
+        self.check(capsys, "oracle", "--input", path, "--k", 1, "--p", "1.5", "--grid", 4)
 
 
 class TestFixtureCommand:

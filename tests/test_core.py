@@ -67,6 +67,10 @@ class TestBrokenLine:
         with pytest.raises(ValueError):
             BrokenLine([0.0, 1.0], [0.0, np.inf])
 
+    def test_rejects_arrays_that_are_not_parallel(self):
+        with pytest.raises(ValueError, match="parallel"):
+            BrokenLine([0.0, 1.0, 2.0], [0.0, 1.0])
+
 
 class TestPNorm:
     def test_labels(self):

@@ -14,7 +14,7 @@ from brokenline import (
     residual_norm,
 )
 from brokenline import fixed_knot, simplex
-from brokenline.fixed_knot import hat_design
+from brokenline.fixed_knot import Line, hat_design
 from brokenline.simplex import _TOL, SimplexError, _pivot, solve_lp
 
 from conftest import make_rng, random_dataset
@@ -381,6 +381,11 @@ class TestFitLine:
         with pytest.raises(ValueError):
             fit_line([], [], PNorm.two())
 
+    @pytest.mark.parametrize("slope", [math.inf, math.nan])
+    def test_line_rejects_a_non_finite_slope(self, slope):
+        with pytest.raises(ValueError, match="finite"):
+            Line(slope, 0.0)
+
     def test_lad_vertex_property(self):
         rng = make_rng(10)
         for _ in range(200):
@@ -526,6 +531,11 @@ class TestFitChain:
             ChainProblem(3, 3)
         with pytest.raises(ValueError):
             ChainProblem(0, 4, (3, 2))
+
+    def test_rejects_a_chain_past_the_end_of_the_data(self):
+        data = DataSet(np.arange(5.0), np.zeros(5))
+        with pytest.raises(ValueError, match="outside the data set"):
+            fit_chain(data, ChainProblem(2, 5), PNorm.two())
 
 
 class TestFitFixedKnots:
